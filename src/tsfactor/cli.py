@@ -45,7 +45,7 @@ from .io import (
     write_trace_kv,
 )
 from .matrixfactor import estimate_matrix
-from .modelselect import BicConfig, select_q
+from .modelselect import BicConfig, _default_q0, select_q
 from .simulate import SimulationSpec, run_monte_carlo
 from .tsstats import TimePanel
 
@@ -67,7 +67,7 @@ _DEFAULTS: dict[str, dict[str, object]] = {
         "method": "wauto",
         "m": 2,
         "q": "auto",
-        "q0": 15,
+        "q0": None,
         "bic_c": 0.2,
         "vartheta_scale": 0.1,
         "r": None,
@@ -76,7 +76,7 @@ _DEFAULTS: dict[str, dict[str, object]] = {
     },
     "select-q": {
         "m": 2,
-        "q0": 15,
+        "q0": None,
         "bic_c": 0.2,
         "vartheta_scale": 0.1,
         "no_demean": False,
@@ -287,6 +287,12 @@ def _ratio_table(ratios: np.ndarray) -> str:
     return "\n".join(lines)
 
 
+def _bic_config(opt: dict, panel: TimePanel) -> BicConfig:
+    """Settings of the q scan; an unset q0 takes the panel's default ceiling."""
+    q0 = opt["q0"] if opt["q0"] is not None else _default_q0(panel.n, panel.p, opt["m"])
+    return BicConfig(C=opt["bic_c"], q0=q0, m=opt["m"])
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
     opt = _merge_options(args)
     panel = _load_panel(args, opt["no_demean"])
@@ -298,8 +304,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         r_search_max=opt["r_max"],
         r_fixed=opt["r"],
     )
-    bic = BicConfig(C=opt["bic_c"], q0=opt["q0"], m=opt["m"])
-    fit = estimate(panel, cfg, bic=bic)
+    scans = cfg.method == "wauto" and not isinstance(cfg.q, int)
+    fit = estimate(panel, cfg, bic=_bic_config(opt, panel) if scans else None)
     os.makedirs(args.out, exist_ok=True)
     q_text = "-" if fit.q_used is None else str(fit.q_used)
     report = (
@@ -328,7 +334,7 @@ def _write_factors(out_dir: str, factors: np.ndarray) -> None:
 def _cmd_select_q(args: argparse.Namespace) -> int:
     opt = _merge_options(args)
     panel = _load_panel(args, opt["no_demean"])
-    bic = BicConfig(C=opt["bic_c"], q0=opt["q0"], m=opt["m"])
+    bic = _bic_config(opt, panel)
     est_cfg = EstimatorConfig(
         method="wauto", m=opt["m"], vartheta_scale=opt["vartheta_scale"]
     )
@@ -345,7 +351,7 @@ def _cmd_select_q(args: argparse.Namespace) -> int:
     )
     lines = [
         "projection dimension scan",
-        f"n={panel.n}  p={panel.p}  q0={opt['q0']}  C={opt['bic_c']:.6g}",
+        f"n={panel.n}  p={panel.p}  q0={bic.q0}  C={opt['bic_c']:.6g}",
         f"q_hat={trace.q_hat}  r_bar={trace.r_bar}  r_hat={fit.r_hat}",
         "q  r_hat  bic_total",
     ]

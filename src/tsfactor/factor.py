@@ -1,23 +1,26 @@
 """Latent factor estimators for high-dimensional stationary series.
 
-Three estimators of the loading space of ``y_t = A x_t + e_t`` share one
-interface:
+Three estimators of the loading space of ``y_t = A x_t + e_t`` run one
+pipeline, aggregate -> spectrum -> rank -> basis, and differ only in the
+aggregate:
 
 ``cov``
-    Eigenanalysis of the sample covariance; the classical PCA route.
+    The sample covariance; the classical PCA route.
 ``auto``
-    Eigenanalysis of the summed products ``sum_k Omega(k) Omega(k)'`` of
-    lagged autocovariances, which white-noise idiosyncratics do not
+    The summed products ``sum_k Omega(k) Omega(k)'`` of lagged
+    autocovariances, which white-noise idiosyncratics do not
     contaminate.
 ``wauto``
     Same aggregation, but each lag matrix is sandwiched with a rank-q
-    pseudo-inverse of the sample covariance.  This weighting rescales
-    the factor eigenvalues so that factors of unequal strength remain
-    separated from the noise; q can be fixed or selected by the
-    generalized BIC in :mod:`tsfactor.modelselect`.
+    pseudo-inverse of the sample covariance (:func:`weight_matrix`).
+    This weighting rescales the factor eigenvalues so that factors of
+    unequal strength remain separated from the noise; q can be fixed or
+    selected by the generalized BIC in :mod:`tsfactor.modelselect`.
 
-The number of factors is picked where adjacent (lag-weighted,
-offset-corrected) eigenvalue ratios jump; see :func:`select_r`.
+One ratio rule picks every factor count, here and in
+:mod:`tsfactor.matrixfactor` (see :func:`select_r`); one rank-r
+lag-regression kernel serves :func:`rrr_solution`, the BIC scan and the
+``wauto`` coefficients ``H_hat``.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ class EstimatorConfig:
         plain adjacent ratios with no offset.
     r_search_max : int, optional
         Upper end of the factor-count search; defaults to 15 for
-        ``cov``/``auto`` and ``q - 1`` for ``wauto``.
+        ``auto``, ``min(15, n - 2)`` for ``cov`` and ``q - 1`` for ``wauto``.
     r_fixed : int, optional
         Skip factor-count selection and use this rank.
     """
@@ -114,6 +117,17 @@ class EstimatorConfig:
             and self.r_search_max >= self.q
         ):
             raise InvalidConfig("r_search_max must be smaller than q")
+
+
+def _method_labels(methods: Sequence[EstimatorConfig]) -> list[str]:
+    """Report labels: each method's name, suffixed ``#2``, ``#3`` on repeats."""
+    counts: dict[str, int] = {}
+    labels = []
+    for cfg in methods:
+        k = counts.get(cfg.method, 0)
+        counts[cfg.method] = k + 1
+        labels.append(cfg.method if k == 0 else f"{cfg.method}#{k + 1}")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -179,13 +193,18 @@ def weight_matrix(covs: LagCovSet, q: int) -> WeightMatrix:
     p = covs.p
     if not 1 <= q <= min(p, covs.n):
         raise InvalidConfig(f"q must be in [1, min(p, n)] = [1, {min(p, covs.n)}], got {q}")
-    pairs = sym_eigen(covs.lag0, q)
+    return _rank_q_weight(covs.lag0, q)
+
+
+def _rank_q_weight(cov0: np.ndarray, q: int, where: str = "") -> WeightMatrix:
+    """Rank-q weight of one lag-0 covariance; ``where`` names it in errors."""
+    pairs = sym_eigen(cov0, q)
     theta = pairs.values
     floor = _COND_FLOOR * max(theta[0], 0.0)
     if theta[-1] <= floor:
         q_eff = int(np.sum(theta > floor))
         raise IllConditioned(
-            f"lag-0 covariance is rank deficient at q={q} "
+            f"lag-0 covariance{where} is rank deficient at q={q} "
             f"(theta_q={theta[-1]:.3e} vs floor {floor:.3e}); largest admissible q is {q_eff}",
             q_effective=q_eff,
         )
@@ -257,45 +276,40 @@ def select_r(
     r_max : int
         Largest candidate factor count.
     """
-    if r_max < 1:
-        raise InvalidConfig(f"r_max must be >= 1, got {r_max}")
     if vartheta < 0:
         raise InvalidConfig("vartheta must be >= 0")
-    stacked = []
-    for k, spectrum in enumerate(spectra, start=1):
-        spectrum = np.asarray(spectrum, dtype=float)
-        if spectrum.shape[0] < r_max + 1:
+    heads = [np.asarray(spectrum, dtype=float)[: r_max + 1] for spectrum in spectra]
+    for k, head in enumerate(heads, start=1):
+        if head.shape[0] < r_max + 1:
             raise InvalidConfig(
-                f"spectrum for lag {k} has {spectrum.shape[0]} values; need {r_max + 1}"
+                f"spectrum for lag {k} has {head.shape[0]} values; need {r_max + 1}"
             )
-        stacked.append((1.0 - k / n) * np.maximum(spectrum[: r_max + 1], 0.0))
-    cum = np.sum(stacked, axis=0)
-    num = cum[:-1] + vartheta
-    den = cum[1:] + vartheta
+    return _ratio_argmax(_lag_weighted(heads, n), vartheta, r_max)
+
+
+def _lag_weighted(spectra: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """``sum_k (1 - k/n) lam_k`` over per-lag spectra k = 1..m, negatives clamped."""
+    weighted = [(1.0 - k / n) * np.maximum(s, 0.0) for k, s in enumerate(spectra, start=1)]
+    return np.sum(weighted, axis=0)
+
+
+def _ratio_argmax(values: np.ndarray, vartheta: float, r_max: int) -> tuple[int, np.ndarray]:
+    """Smallest maximizer of ``(lam_j + vartheta) / (lam_{j+1} + vartheta)``,
+    j = 1..r_max, over one descending spectrum; every rank choice uses it."""
+    if r_max < 1:
+        raise InvalidConfig(f"r_max must be >= 1, got {r_max}")
+    vals = np.maximum(values[: r_max + 1], 0.0)
+    num = vals[:-1] + vartheta
+    den = vals[1:] + vartheta
     if np.any(den == 0.0):
-        if vartheta == 0.0:
-            raise DegenerateSpectrum(
-                "zero eigenvalue denominator with no offset; pass vartheta > 0"
-            )
-        raise DegenerateSpectrum("eigenvalue ratios degenerate even with offset")
+        raise DegenerateSpectrum(
+            "zero eigenvalue denominator with no offset; pass vartheta > 0 or fix the rank"
+        )
     ratios = num / den
     return int(np.argmax(ratios)) + 1, ratios
 
 
-def _plain_ratio_argmax(values: np.ndarray, r_max: int) -> tuple[int, np.ndarray]:
-    """Adjacent-eigenvalue ratio rule with no offset (covariance method)."""
-    if r_max < 1:
-        raise InvalidConfig(f"r_max must be >= 1, got {r_max}")
-    values = np.maximum(values[: r_max + 1], 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = values[:-1] / values[1:]
-    safe = np.where(np.isnan(ratios), -np.inf, ratios)  # 0/0 can never win
-    if np.all(safe == -np.inf):
-        raise DegenerateSpectrum("all adjacent eigenvalue ratios are undefined")
-    return int(np.argmax(safe)) + 1, ratios
-
-
-def _resolve_bounds(cfg: EstimatorConfig, available: int) -> tuple[int, Optional[int]]:
+def _resolve_bounds(cfg: EstimatorConfig, available: int, n: int) -> tuple[int, Optional[int]]:
     """Effective search bound and validated fixed rank.
 
     ``available`` is the last index for which a ratio exists (p - 1 or
@@ -303,8 +317,10 @@ def _resolve_bounds(cfg: EstimatorConfig, available: int) -> tuple[int, Optional
     ``r_fixed``; an explicit one that excludes it is an error.
     """
     default = cfg.r_search_max is None
-    bound = (15 if cfg.method != "wauto" else available) if default else cfg.r_search_max
-    bound = min(bound, available)
+    # A demeaned covariance has rank at most n - 1, so cov's default window
+    # stops at n - 2 to keep zero eigenvalues out of its unoffset ratios.
+    ceiling = {"cov": min(15, n - 2), "auto": 15}.get(cfg.method, available)
+    bound = min(ceiling if default else cfg.r_search_max, available)
     r_fixed = cfg.r_fixed
     if r_fixed is not None:
         if r_fixed > available + 1:
@@ -325,11 +341,13 @@ def estimate(
 ) -> FactorFit:
     """Estimate the loading space and factor count of a panel.
 
-    The panel is demeaned if it is not already.  Dispatches on
-    ``cfg.method``; see the module docstring for what each branch
-    diagonalizes.  For ``wauto`` with ``q="auto"`` the projection
-    dimension comes from :func:`tsfactor.modelselect.select_q`, using
-    ``bic`` (a :class:`~tsfactor.modelselect.BicConfig`) when given.
+    The panel is demeaned if it is not already.  ``cfg.method`` picks
+    the aggregate, its spectra and ratio offset; rank and basis follow
+    one path.  For ``wauto`` with ``q="auto"`` the projection dimension
+    comes from the generalized BIC scan of :mod:`tsfactor.modelselect`,
+    using ``bic`` (a :class:`~tsfactor.modelselect.BicConfig`) when
+    given and a ceiling ``q0 = min(15, p - 1, n - m)`` otherwise; scan
+    and fit share their autocovariances and weight.
 
     Returns
     -------
@@ -344,79 +362,56 @@ def estimate(
         raise InvalidConfig(f"m={cfg.m} must be smaller than the sample size {n}")
     if isinstance(cfg.q, int) and cfg.q > min(p, n):
         raise InvalidConfig(f"q={cfg.q} exceeds min(p, n) = {min(p, n)}")
-    covs = sample_autocov(panel, cfg.m)
     y = panel.data
+
+    w = None
+    if cfg.method == "wauto" and not isinstance(cfg.q, int):
+        from .modelselect import BicConfig, _default_q0, _scan
+
+        bic = bic if bic is not None else BicConfig(q0=_default_q0(n, p, cfg.m), m=cfg.m)
+        covs = sample_autocov(panel, max(cfg.m, bic.m))
+        trace, w0 = _scan(y, covs, bic, cfg.vartheta_scale * p / n)
+        # The weight at q_hat is the leading block of the ceiling weight:
+        # sym_eigen slices one full decomposition and signs each column on
+        # its own, so this equals weight_matrix(covs, q_hat) bit for bit.
+        q = trace.q_hat
+        w = WeightMatrix(Q=np.ascontiguousarray(w0.Q[:, :q]), theta=w0.theta[:q], q=q)
+        covs = LagCovSet(lag0=covs.lag0, lags=covs.lags[: cfg.m], n=n)
+    else:
+        covs = sample_autocov(panel, 0 if cfg.method == "cov" else cfg.m)
+        if cfg.method == "wauto":
+            w = weight_matrix(covs, cfg.q)
 
     if cfg.method == "cov":
         pairs = sym_eigen(covs.lag0, p)
-        bound, r_fixed = _resolve_bounds(cfg, p - 1)
-        if r_fixed is not None and bound < 1:
-            r, ratios = r_fixed, np.empty(0)
-        else:
-            r_sel, ratios = _plain_ratio_argmax(pairs.values, bound)
-            r = r_fixed if r_fixed is not None else r_sel
-        a = pairs.vectors[:, :r]
-        return FactorFit(
-            method="cov",
-            r_hat=r,
-            A_hat=a,
-            factors=y @ a,
-            eigenvalues_per_lag=(pairs.values.copy(),),
-            ratios=ratios,
-        )
-
-    if cfg.method == "auto":
-        spectra = per_lag_spectra(covs, None)
-        values = [s.values for s in spectra]
-        bound, r_fixed = _resolve_bounds(cfg, p - 1)
-        vartheta = cfg.vartheta_scale * (p / n) ** 2
-        if r_fixed is not None and bound < 1:
-            r, ratios = r_fixed, np.empty(0)
-        else:
-            r_sel, ratios = select_r(values, n, vartheta, bound)
-            r = r_fixed if r_fixed is not None else r_sel
-        a = sym_eigen(m_hat(covs, None), r).vectors
-        return FactorFit(
-            method="auto",
-            r_hat=r,
-            A_hat=a,
-            factors=y @ a,
-            eigenvalues_per_lag=tuple(values),
-            ratios=ratios,
-        )
-
-    # wauto
-    if isinstance(cfg.q, int):
-        q = cfg.q
+        spectra, ranked, vartheta = (pairs.values,), pairs.values, 0.0
     else:
-        from .modelselect import BicConfig, select_q
+        spectra = tuple(s.values for s in per_lag_spectra(covs, w))
+        ranked = _lag_weighted(spectra, n)
+        vartheta = cfg.vartheta_scale * (p / n) ** 2 if w is None else cfg.vartheta_scale * p / n
 
-        bic_cfg = bic if bic is not None else BicConfig(q0=min(15, min(p, n) - 1), m=cfg.m)
-        q = select_q(panel, bic_cfg, cfg).q_hat
-    w = weight_matrix(covs, q)
-    spectra = per_lag_spectra(covs, w)
-    values = [s.values for s in spectra]
-    bound, r_fixed = _resolve_bounds(cfg, q - 1)
-    vartheta = cfg.vartheta_scale * p / n
+    bound, r_fixed = _resolve_bounds(cfg, p - 1 if w is None else w.q - 1, n)
     if r_fixed is not None and bound < 1:
         r, ratios = r_fixed, np.empty(0)
     else:
-        r_sel, ratios = select_r(values, n, vartheta, bound)
+        r_sel, ratios = _ratio_argmax(ranked, vartheta, bound)
         r = r_fixed if r_fixed is not None else r_sel
-    a = sym_eigen(m_hat(covs, w), r).vectors
-    h_list = []
-    for k in range(1, cfg.m + 1):
-        ytil = y[: n - k] @ w.Q
-        h_list.append(_ridgeless_solve(ytil, y[k:] @ a))
+    if cfg.method == "cov":
+        a = pairs.vectors[:, :r].copy()  # a view would pin the p-by-p eigenvectors
+    else:
+        a = sym_eigen(m_hat(covs, w), r).vectors
+    h_hat = None if w is None else tuple(
+        _ridgeless_solve(y[: n - k] @ w.Q, y[k:] @ a) for k in range(1, cfg.m + 1)
+    )
     return FactorFit(
-        method="wauto",
+        method=cfg.method,
         r_hat=r,
         A_hat=a,
         factors=y @ a,
-        eigenvalues_per_lag=tuple(values),
+        eigenvalues_per_lag=spectra,
         ratios=ratios,
-        q_used=q,
-        H_hat=tuple(h_list),
+        q_used=None if w is None else w.q,
+        H_hat=h_hat,
     )
 
 
@@ -430,6 +425,21 @@ def _ridgeless_solve(design: np.ndarray, target: np.ndarray) -> np.ndarray:
             q_effective=int(np.sum(vals > _COND_FLOOR * max(vals[-1], 0.0))),
         )
     return np.linalg.solve(gram, design.T @ target)
+
+
+def _lag_fit(
+    u: np.ndarray, r: int, design: np.ndarray, head: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Rank-r lag-k regression: ``(A, H, ||head - design H A'||^2)``.
+
+    ``u`` holds the left singular vectors of ``B_k = Omega(k) Q
+    theta^{-1/2}`` on q columns of Q, ``design`` is ``y[:n-k] Q`` on the
+    same columns and ``head`` is ``y[k:]``; A is the signed top-r of u.
+    """
+    a = _fix_signs(u[:, :r])
+    h = _ridgeless_solve(design, head @ a)
+    resid = head - (design @ h) @ a.T
+    return a, h, float(np.sum(resid**2))
 
 
 def rrr_solution(
@@ -458,14 +468,9 @@ def rrr_solution(
         )
     covs = sample_autocov(panel, k)
     w = weight_matrix(covs, q)
-    b = _half_weighted(covs.lags[k - 1], w)
-    u, _, _ = np.linalg.svd(b, full_matrices=False)
-    a = _fix_signs(u[:, :r])
+    u, _, _ = np.linalg.svd(_half_weighted(covs.lags[k - 1], w), full_matrices=False)
     y = panel.data
-    ytil = y[: n - k] @ w.Q
-    h = _ridgeless_solve(ytil, y[k:] @ a)
-    resid = y[k:] - (ytil @ h) @ a.T
-    return a, h, float(np.sum(resid**2))
+    return _lag_fit(u, r, y[: n - k] @ w.Q, y[k:])
 
 
 def two_step(

@@ -25,7 +25,7 @@ from scipy.optimize import least_squares
 from scipy.signal import lfilter
 
 from .errors import InvalidConfig, InvalidData, PreconditionViolated, TsfactorError
-from .factor import EstimatorConfig, estimate
+from .factor import EstimatorConfig, _method_labels, estimate
 from .tsstats import TimePanel
 
 __all__ = [
@@ -346,16 +346,6 @@ class ForecastReport:
         for res in self.results:
             if res.predictions.shape[0] != expect:
                 raise InvalidConfig("every method needs one prediction row per window")
-
-
-def _method_labels(methods: tuple[EstimatorConfig, ...]) -> list[str]:
-    counts: dict[str, int] = {}
-    labels = []
-    for cfg in methods:
-        k = counts.get(cfg.method, 0)
-        counts[cfg.method] = k + 1
-        labels.append(cfg.method if k == 0 else f"{cfg.method}#{k + 1}")
-    return labels
 
 
 def expanding_window_eval(

@@ -22,13 +22,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    IllConditioned,
     InvalidConfig,
     InvalidData,
     InvalidLag,
     PreconditionViolated,
 )
-from .factor import _COND_FLOOR, WeightMatrix
+from .factor import _rank_q_weight, _ratio_argmax
 from .tsstats import sym_eigen
 
 __all__ = [
@@ -113,21 +112,6 @@ def cross_autocov_2(panel: MatrixPanel, k: int, i: int, j: int) -> np.ndarray:
     return cross_autocov_1(_transposed(panel), k, i, j)
 
 
-def _slice_weight(cov0: np.ndarray, q: int, label: str) -> WeightMatrix:
-    """Rank-q calibration weight from one slice's lag-0 covariance."""
-    pairs = sym_eigen(cov0, q)
-    theta = pairs.values
-    floor = _COND_FLOOR * max(theta[0], 0.0)
-    if theta[-1] <= floor:
-        q_eff = int(np.sum(theta > floor))
-        raise IllConditioned(
-            f"lag-0 covariance of {label} is rank deficient at q={q} "
-            f"(theta_q={theta[-1]:.3e} vs floor {floor:.3e}); largest admissible q is {q_eff}",
-            q_effective=q_eff,
-        )
-    return WeightMatrix(Q=pairs.vectors, theta=theta, q=q)
-
-
 def m_hat_rows(panel: MatrixPanel, m: int = 2, q1: Optional[int] = None) -> np.ndarray:
     """Weight-calibrated aggregate whose top eigenvectors span the row space.
 
@@ -149,7 +133,7 @@ def m_hat_rows(panel: MatrixPanel, m: int = 2, q1: Optional[int] = None) -> np.n
         raise InvalidLag(f"m must leave at least 2 usable observations, got m={m}, n={n}")
     halves = []
     for j in range(p2):
-        w = _slice_weight(cross_autocov_1(panel, 0, j, j), q1, f"column slice {j}")
+        w = _rank_q_weight(cross_autocov_1(panel, 0, j, j), q1, f" of column slice {j}")
         halves.append(w.Q / np.sqrt(w.theta))
     out = np.zeros((p1, p1))
     flat = panel.data.reshape(n, p1 * p2)
@@ -197,19 +181,6 @@ class MatrixFactorFit:
                 raise InvalidData("spectrum is not sorted descending")
 
 
-def _offset_ratio_argmax(values: np.ndarray, r_max: int, vartheta: float) -> tuple[int, np.ndarray]:
-    """Smallest maximizer of ``(lam_j + vartheta) / (lam_j+1 + vartheta)``."""
-    if r_max < 1:
-        raise InvalidConfig(f"rank search needs r_max >= 1, got {r_max}")
-    vals = np.maximum(values[: r_max + 1], 0.0)
-    num = vals[:-1] + vartheta
-    den = vals[1:] + vartheta
-    if np.any(den == 0.0):
-        raise InvalidConfig("degenerate spectrum: pass a positive vartheta or fix the rank")
-    ratios = num / den
-    return int(np.argmax(ratios)) + 1, ratios
-
-
 def estimate_matrix(
     panel: MatrixPanel,
     m: int = 2,
@@ -237,32 +208,24 @@ def estimate_matrix(
     for d, q, p, side in ((d1, q1, p1, "d1"), (d2, q2, p2, "d2")):
         if d is not None and not 1 <= d <= min(q, p):
             raise InvalidConfig(f"{side} must be in [1, min(q, p)] = [1, {min(q, p)}], got {d}")
-    m1 = m_hat_rows(panel, m=m, q1=q1)
-    m2 = m_hat_cols(panel, m=m, q2=q2)
-    row_spectrum = sym_eigen(m1, p1).values
-    col_spectrum = sym_eigen(m2, p2).values
-    picked = []
-    for d, q, p, spectrum in (
-        (d1, q1, p1, row_spectrum),
-        (d2, q2, p2, col_spectrum),
-    ):
-        vartheta = vartheta_scale * p / n
+    aggregates = (m_hat_rows(panel, m=m, q1=q1), m_hat_cols(panel, m=m, q2=q2))
+    fitted = []
+    for aggregate, d, q, p in zip(aggregates, (d1, d2), (q1, q2), (p1, p2)):
+        pairs = sym_eigen(aggregate, p)
         r_max = min(q, p) - 1
-        if d is None:
-            if r_max < 1:
-                raise InvalidConfig("rank selection needs q >= 2; fix the rank explicitly")
-            d_hat, ratios = _offset_ratio_argmax(spectrum, r_max, vartheta)
+        if r_max >= 1:
+            d_sel, ratios = _ratio_argmax(pairs.values, vartheta_scale * p / n, r_max)
+        elif d is None:
+            raise InvalidConfig("rank selection needs q >= 2; fix the rank explicitly")
         else:
-            d_hat = d
-            if r_max >= 1:
-                _, ratios = _offset_ratio_argmax(spectrum, r_max, vartheta)
-            else:
-                ratios = np.empty(0)
-        picked.append((d_hat, ratios))
-    (d1_hat, row_ratios), (d2_hat, col_ratios) = picked
+            d_sel, ratios = d, np.empty(0)
+        d_hat = d_sel if d is None else d
+        # copy the leading columns so the basis does not pin all p eigenvectors
+        fitted.append((pairs.vectors[:, :d_hat].copy(), d_hat, pairs.values, ratios))
+    (R_hat, d1_hat, row_spectrum, row_ratios), (C_hat, d2_hat, col_spectrum, col_ratios) = fitted
     return MatrixFactorFit(
-        R_hat=sym_eigen(m1, d1_hat).vectors,
-        C_hat=sym_eigen(m2, d2_hat).vectors,
+        R_hat=R_hat,
+        C_hat=C_hat,
         d1=d1_hat,
         d2=d2_hat,
         row_spectrum=row_spectrum,

@@ -23,14 +23,14 @@ import numpy as np
 from .errors import InvalidConfig
 from .factor import (
     EstimatorConfig,
-    _fix_signs,
+    WeightMatrix,
     _half_weighted,
-    _ridgeless_solve,
+    _lag_fit,
     rrr_solution,
     select_r,
     weight_matrix,
 )
-from .tsstats import TimePanel, demean, sample_autocov
+from .tsstats import LagCovSet, TimePanel, demean, sample_autocov
 
 __all__ = ["BicConfig", "BicTrace", "bic_k", "select_q"]
 
@@ -101,10 +101,15 @@ def bic_k(panel: TimePanel, k: int, q: int, r_hat: int, C: float) -> float:
         raise InvalidConfig(f"r_hat={r_hat} must be smaller than q={q}")
     if C <= 0:
         raise InvalidConfig("penalty constant C must be positive")
-    panel = demean(panel)
     _, _, objective = rrr_solution(panel, k, q, r_hat)
     n, p = panel.n, panel.p
     return _bic_value(p, n, objective / (p * n), _param_count(p, q, r_hat), C)
+
+
+def _default_q0(n: int, p: int, m: int) -> int:
+    """Default scan ceiling: 15, below min(p, n), and no more than the
+    n - m rows of the lag-m regression, so every candidate q is solvable."""
+    return min(15, p - 1, n - m)
 
 
 def select_q(panel: TimePanel, cfg: BicConfig, est_cfg: EstimatorConfig) -> BicTrace:
@@ -116,28 +121,34 @@ def select_q(panel: TimePanel, cfg: BicConfig, est_cfg: EstimatorConfig) -> BicT
     surface; determinism is bit-for-bit for identical inputs.
     """
     panel = demean(panel)
-    n, p = panel.n, panel.p
+    covs = sample_autocov(panel, cfg.m)
+    return _scan(panel.data, covs, cfg, est_cfg.vartheta_scale * panel.p / panel.n)[0]
+
+
+def _scan(
+    y: np.ndarray, covs: LagCovSet, cfg: BicConfig, vartheta: float
+) -> tuple[BicTrace, WeightMatrix]:
+    """:func:`select_q` on a demeaned panel ``y`` with at least ``cfg.m``
+    lags in ``covs``; also returns the rank-q0 weight the scan built."""
+    n, p = y.shape
     if cfg.q0 > min(p, n) - 1:
         raise InvalidConfig(
             f"q0={cfg.q0} must be at most min(p, n) - 1 = {min(p, n) - 1}"
         )
-    covs = sample_autocov(panel, cfg.m)
     w0 = weight_matrix(covs, cfg.q0)
-    y = panel.data
-    vartheta = est_cfg.vartheta_scale * p / n
-
+    lags = range(1, cfg.m + 1)
     # Per-lag half-products B_k with B_k B_k' = Omega(k) W Omega(k)'.  The
     # candidate-q objects are leading-column slices of the q0 ones because
     # the covariance eigenvectors are nested.
-    halves = [_half_weighted(covs.lags[k - 1], w0) for k in range(1, cfg.m + 1)]
-    proj = [y[: n - k] @ w0.Q for k in range(1, cfg.m + 1)]
-    heads = [y[k:] for k in range(1, cfg.m + 1)]
-    head_norms = [float(np.sum(h**2)) for h in heads]
+    halves = [_half_weighted(covs.lags[k - 1], w0) for k in lags]
+    designs = [y[: n - k] @ w0.Q for k in lags]
 
-    spectra0 = [np.linalg.svd(b, compute_uv=False) ** 2 for b in halves]
-    r_bar, _ = select_r(spectra0, n, vartheta, cfg.q0 - 1)
-    if r_bar >= cfg.q0:
-        raise InvalidConfig(f"preliminary factor count {r_bar} leaves no candidate q")
+    def svds(q: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """One SVD per lag gives both the basis and the spectrum of B_k[:, :q]."""
+        return [np.linalg.svd(b[:, :q], full_matrices=False)[:2] for b in halves]
+
+    at_ceiling = svds(cfg.q0)
+    r_bar, _ = select_r([s**2 for _, s in at_ceiling], n, vartheta, cfg.q0 - 1)
     candidates = tuple(range(r_bar + 1, cfg.q0 + 1))
 
     n_cand = len(candidates)
@@ -146,26 +157,19 @@ def select_q(panel: TimePanel, cfg: BicConfig, est_cfg: EstimatorConfig) -> BicT
     per_lag_d = np.zeros((cfg.m, n_cand), dtype=int)
     r_hats = []
     for i, q in enumerate(candidates):
-        lam = [np.linalg.svd(b[:, :q], compute_uv=False) ** 2 for b in halves]
-        r_q, _ = select_r(lam, n, vartheta, q - 1)
+        per_lag = at_ceiling if q == cfg.q0 else svds(q)
+        r_q, _ = select_r([s**2 for _, s in per_lag], n, vartheta, q - 1)
         r_hats.append(r_q)
         d = _param_count(p, q, r_q)
-        for k in range(1, cfg.m + 1):
-            u, _, _ = np.linalg.svd(halves[k - 1][:, :q], full_matrices=False)
-            a = _fix_signs(u[:, :r_q])
-            target = heads[k - 1] @ a
-            h = _ridgeless_solve(proj[k - 1][:, :q], target)
-            fitted = proj[k - 1][:, :q] @ h
-            objective = head_norms[k - 1] - 2.0 * float(np.sum(target * fitted)) + float(
-                np.sum(fitted**2)
-            )
-            L = max(objective, 0.0) / (p * n)
+        for k, (u, _) in zip(lags, per_lag):
+            _, _, objective = _lag_fit(u, r_q, designs[k - 1][:, :q], y[k:])
+            L = objective / (p * n)
             per_lag_L[k - 1, i] = L
             per_lag_d[k - 1, i] = d
             per_lag_bic[k - 1, i] = _bic_value(p, n, L, d, cfg.C)
     totals = per_lag_bic.sum(axis=0)
     q_hat = candidates[int(np.argmin(totals))]
-    return BicTrace(
+    trace = BicTrace(
         candidates=candidates,
         per_lag_bic=per_lag_bic,
         totals=totals,
@@ -175,3 +179,4 @@ def select_q(panel: TimePanel, cfg: BicConfig, est_cfg: EstimatorConfig) -> BicT
         per_lag_d=per_lag_d,
         r_hat_per_candidate=tuple(r_hats),
     )
+    return trace, w0

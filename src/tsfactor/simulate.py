@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfig, TsfactorError
-from .factor import EstimatorConfig, estimate
+from .factor import EstimatorConfig, _method_labels, estimate
 from .tsstats import TimePanel, subspace_distance
 
 __all__ = [
@@ -256,16 +256,6 @@ def generate_two_strength(
     y = x @ a_tilde.T + z @ b_tilde.T + spec.noise_scale * e
     panel = TimePanel(y[spec.burn_in :])
     return panel, _orthonormal_basis(a_tilde), _orthonormal_basis(b_tilde)
-
-
-def _method_labels(methods: tuple[EstimatorConfig, ...]) -> list[str]:
-    counts: dict[str, int] = {}
-    labels = []
-    for cfg in methods:
-        k = counts.get(cfg.method, 0)
-        counts[cfg.method] = k + 1
-        labels.append(cfg.method if k == 0 else f"{cfg.method}#{k + 1}")
-    return labels
 
 
 def _one_run(spec: SimulationSpec, labels: list[str], run_index: int) -> list[RunRecord]:

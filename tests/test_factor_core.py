@@ -392,3 +392,35 @@ def test_two_step_recovers_both_ranks_in_majority():
         strong, weak, _ = two_step(panel, cfg)
         hits += (strong.r_hat == 3) and (weak.r_hat == 3)
     assert hits > 100, f"both ranks correct in only {hits}/200 replications"
+
+
+# ------------------------------------------------------- short series
+
+
+@pytest.mark.parametrize("n, p, m", [(12, 40, 2), (20, 60, 3), (9, 30, 2)])
+def test_wauto_default_ceiling_fits_short_series(n, p, m):
+    # The lag-m regression has only n - m rows, so the default q ceiling
+    # must stay within them for p > n panels.
+    rng = np.random.default_rng(79)
+    fit = estimate(TimePanel(rng.standard_normal((n, p))), EstimatorConfig(method="wauto", m=m))
+    assert 1 <= fit.q_used <= n - m
+    assert len(fit.H_hat) == m
+
+
+def test_cov_default_window_stops_below_the_covariance_rank():
+    # A demeaned 10-row panel has covariance rank 9: the default window
+    # ends at n - 2 = 8 ratios, so no zero eigenvalue sits under a ratio.
+    rng = np.random.default_rng(83)
+    fit = estimate(TimePanel(rng.standard_normal((10, 30))), EstimatorConfig(method="cov"))
+    assert fit.ratios.shape == (8,)
+    assert np.all(np.isfinite(fit.ratios))
+
+
+@pytest.mark.parametrize("method", ["cov", "auto", "wauto"])
+def test_loadings_own_their_memory(method):
+    # A view into the full eigenvector matrix would keep p*p floats alive
+    # for as long as the caller keeps the fit.
+    rng = np.random.default_rng(89)
+    panel, _ = ar_factor_panel(rng, n=120, p=20, r=2)
+    fit = estimate(panel, EstimatorConfig(method=method))
+    assert fit.A_hat.base is None

@@ -403,3 +403,28 @@ def test_console_script_runs_end_to_end(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "monte carlo study" in proc.stdout
     assert (out / "trace.kv").exists()
+
+
+def test_default_q_ceiling_fits_a_short_wide_panel(tmp_path):
+    # n=12, p=40, m=2: the lag-2 regression has 10 rows, so the default
+    # ceiling must be derived from the panel rather than fixed at 15.
+    src = tmp_path / "short.csv"
+    write_panel_csv(src, p=40, n=12)
+    assert run(["estimate", str(src), "--out", str(tmp_path / "e")]) == 0
+    assert int(read_kv(tmp_path / "e" / "trace.kv")["q_used"]) <= 10
+    assert run(["select-q", str(src), "--out", str(tmp_path / "s")]) == 0
+    assert "q0=10" in (tmp_path / "s" / "report.txt").read_text()
+    # an explicit ceiling is still validated as given
+    assert run(["estimate", str(src), "--out", str(tmp_path / "x"), "--q0", "12"]) == 5
+
+
+def test_matrix_degenerate_spectrum_exits_9(tmp_path):
+    # Rows (u_t, v_t) whose lag-1 autocovariance has an exactly zero v-row:
+    # with no ratio offset the row rank rule divides by a zero eigenvalue.
+    src = tmp_path / "degenerate.csv"
+    u = [1.0, 0.0, -2.0, 0.5, 0.5]
+    v = [1.0, 0.0, -1.0, 0.0, 0.0]
+    src.write_text("".join(f"{t + 1},{u[t]}\n{t + 1},{v[t]}\n" for t in range(5)))
+    args = ["matrix-estimate", str(src), "--m", "1", "--d2", "1"]
+    assert run(args + ["--vartheta-scale", "0", "--out", str(tmp_path / "a")]) == 9
+    assert run(args + ["--out", str(tmp_path / "b")]) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tsfactor.errors import (
+    DegenerateSpectrum,
     IllConditioned,
     InvalidConfig,
     InvalidData,
@@ -290,3 +291,31 @@ def test_estimated_row_space_stable_under_column_mixing():
     mixed = estimate_matrix(MatrixPanel(panel.data @ mix), m=2, d1=2, d2=2)
     assert subspace_distance(fit.R_hat, mixed.R_hat) <= 0.05
     assert estimate_matrix(MatrixPanel(panel.data @ mix), m=2).d1 == 2
+
+
+def degenerate_row_panel():
+    """Rows (u_t, v_t) whose v-row of every lag-1 autocovariance is exactly 0.
+
+    v is nonzero only at t = 0 and t = 2, and the row before t = 2 is 0, so
+    each product v_t y_{t-1} vanishes; both rows have mean exactly 0 and a
+    full-rank lag-0 covariance.  The row aggregate is diag(x, 0).
+    """
+    u = [1.0, 0.0, -2.0, 0.5, 0.5]
+    v = [1.0, 0.0, -1.0, 0.0, 0.0]
+    return np.array([u, v]).T[:, :, None]
+
+
+def test_degenerate_spectrum_without_offset_raises_degenerate_spectrum():
+    panel = MatrixPanel(degenerate_row_panel())
+    with pytest.raises(DegenerateSpectrum):
+        estimate_matrix(panel, m=1, d2=1, vartheta_scale=0.0)
+    with pytest.raises(DegenerateSpectrum):  # also when the rank is fixed
+        estimate_matrix(panel, m=1, d1=1, d2=1, vartheta_scale=0.0)
+    fit = estimate_matrix(panel, m=1, d2=1)  # an offset keeps the ratio defined
+    assert fit.d1 == 1 and fit.row_spectrum[1] == 0.0
+
+
+def test_bases_own_their_memory():
+    panel, _, _ = planted_panel(3, n=120, p1=8, p2=6)
+    fit = estimate_matrix(panel, m=2)
+    assert fit.R_hat.base is None and fit.C_hat.base is None

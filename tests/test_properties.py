@@ -1,0 +1,77 @@
+"""Property tests that guard the shared estimator pipeline.
+
+Permuting the series or flipping their signs only relabels the model, so
+every estimator must permute or flip the rows of its loadings and leave
+the factor count, the chosen q and the spectra unchanged.  A ``wauto``
+fit that selects q must equal the fit that fixes q at the selected value,
+bit for bit, because both run the same weight, spectra, rank and basis.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tsfactor.factor import EstimatorConfig, estimate
+from tsfactor.modelselect import BicConfig
+from tsfactor.tsstats import TimePanel
+
+CONFIGS = (
+    EstimatorConfig(method="cov"),
+    EstimatorConfig(method="auto"),
+    EstimatorConfig(method="wauto", q="auto"),
+    EstimatorConfig(method="wauto", q=6),
+)
+
+
+def factor_panel(seed: int, n: int, p: int) -> np.ndarray:
+    """Two AR(1) factors of unequal strength plus white noise."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((n, 2))
+    for t in range(1, n):
+        x[t] = np.array([0.8, 0.6]) * x[t - 1] + rng.standard_normal(2)
+    load = rng.uniform(-1.0, 1.0, size=(p, 2)) * np.array([1.0, 0.6])
+    return x @ load.T + rng.standard_normal((n, p))
+
+
+panels = st.tuples(
+    st.integers(0, 2**32 - 1), st.integers(60, 160), st.integers(10, 40)
+)
+
+
+@settings(max_examples=20)
+@given(panels, st.data())
+def test_relabelling_series_relabels_loading_rows(shape, data):
+    seed, n, p = shape
+    y = factor_panel(seed, n, p)
+    perm = np.array(data.draw(st.permutations(range(p))))
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=p, max_size=p)))
+    moved = TimePanel(y[:, perm] * signs)
+    for cfg in CONFIGS:
+        base = estimate(TimePanel(y), cfg)
+        fit = estimate(moved, cfg)
+        assert (fit.r_hat, fit.q_used) == (base.r_hat, base.q_used)
+        for s_base, s_fit in zip(base.eigenvalues_per_lag, fit.eigenvalues_per_lag):
+            assert np.abs(s_fit - s_base).max() <= 1e-9 * s_base[0]
+        assert np.abs(fit.ratios - base.ratios).max() <= 1e-9 * np.abs(base.ratios).max()
+        want = base.A_hat[perm] * signs[:, None]
+        # the sign rule may flip a whole column when a row sign flips
+        col_signs = np.sign(np.sum(want * fit.A_hat, axis=0))
+        assert np.abs(fit.A_hat * col_signs - want).max() <= 1e-8
+
+
+@settings(max_examples=20)
+@given(panels, st.integers(1, 3), st.integers(0, 2))
+def test_selected_q_fit_equals_fixed_q_fit_bit_for_bit(shape, m, extra_bic_lags):
+    seed, n, p = shape
+    panel = TimePanel(factor_panel(seed, n, p))
+    # the scan may use more lags than the fit; the shared pass covers both
+    bic = BicConfig(q0=min(15, p - 1), m=m + extra_bic_lags)
+    chosen = estimate(panel, EstimatorConfig(method="wauto", m=m), bic=bic)
+    fixed = estimate(panel, EstimatorConfig(method="wauto", m=m, q=chosen.q_used))
+    assert chosen.r_hat == fixed.r_hat
+    assert np.array_equal(chosen.A_hat, fixed.A_hat)
+    assert np.array_equal(chosen.ratios, fixed.ratios)
+    for got, want in zip(chosen.eigenvalues_per_lag, fixed.eigenvalues_per_lag, strict=True):
+        assert np.array_equal(got, want)
+    for got, want in zip(chosen.H_hat, fixed.H_hat, strict=True):
+        assert np.array_equal(got, want)
