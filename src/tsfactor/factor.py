@@ -21,6 +21,11 @@ One ratio rule picks every factor count, here and in
 :mod:`tsfactor.matrixfactor` (see :func:`select_r`); one rank-r
 lag-regression kernel serves :func:`rrr_solution`, the BIC scan and the
 ``wauto`` coefficients ``H_hat``.
+
+When p > n, :func:`estimate` runs in the panel's n-dimensional row space:
+it fits the n-by-n scores Z of a thin QR ``y' = V Z'``, since
+``Omega(k) = V Omega_Z(k) V'``, and lifts the basis back with V.  The
+numbers agree with the p-by-p route to round-off.
 """
 
 from __future__ import annotations
@@ -362,15 +367,23 @@ def estimate(
         raise InvalidConfig(f"m={cfg.m} must be smaller than the sample size {n}")
     if isinstance(cfg.q, int) and cfg.q > min(p, n):
         raise InvalidConfig(f"q={cfg.q} exceeds min(p, n) = {min(p, n)}")
+    if cfg.method == "wauto" and isinstance(cfg.q, int) and cfg.q > n - cfg.m:
+        raise InvalidConfig(
+            f"q={cfg.q} exceeds n - m = {n - cfg.m}, the rows of the lag-{cfg.m} regression"
+        )
     y = panel.data
+    v, rows = None, panel
+    if p > n:  # y = Z V' with V'V = I: fit the n-by-n scores Z, lift back with V
+        v, tri = np.linalg.qr(y.T)
+        rows = TimePanel(tri.T, demeaned=True)
 
     w = None
     if cfg.method == "wauto" and not isinstance(cfg.q, int):
         from .modelselect import BicConfig, _default_q0, _scan
 
         bic = bic if bic is not None else BicConfig(q0=_default_q0(n, p, cfg.m), m=cfg.m)
-        covs = sample_autocov(panel, max(cfg.m, bic.m))
-        trace, w0 = _scan(y, covs, bic, cfg.vartheta_scale * p / n)
+        covs = sample_autocov(rows, max(cfg.m, bic.m))
+        trace, w0 = _scan(rows.data, p, covs, bic, cfg.vartheta_scale * p / n)
         # The weight at q_hat is the leading block of the ceiling weight:
         # sym_eigen slices one full decomposition and signs each column on
         # its own, so this equals weight_matrix(covs, q_hat) bit for bit.
@@ -378,17 +391,19 @@ def estimate(
         w = WeightMatrix(Q=np.ascontiguousarray(w0.Q[:, :q]), theta=w0.theta[:q], q=q)
         covs = LagCovSet(lag0=covs.lag0, lags=covs.lags[: cfg.m], n=n)
     else:
-        covs = sample_autocov(panel, 0 if cfg.method == "cov" else cfg.m)
+        covs = sample_autocov(rows, 0 if cfg.method == "cov" else cfg.m)
         if cfg.method == "wauto":
             w = weight_matrix(covs, cfg.q)
 
     if cfg.method == "cov":
-        pairs = sym_eigen(covs.lag0, p)
-        spectra, ranked, vartheta = (pairs.values,), pairs.values, 0.0
+        pairs = sym_eigen(covs.lag0, covs.p)
+        spectra, vartheta = (pairs.values,), 0.0
     else:
         spectra = tuple(s.values for s in per_lag_spectra(covs, w))
-        ranked = _lag_weighted(spectra, n)
         vartheta = cfg.vartheta_scale * (p / n) ** 2 if w is None else cfg.vartheta_scale * p / n
+    if w is None:  # exact zeros for the p - n directions outside the row space
+        spectra = tuple(np.pad(s, (0, p - s.size)) for s in spectra)
+    ranked = spectra[0] if cfg.method == "cov" else _lag_weighted(spectra, n)
 
     bound, r_fixed = _resolve_bounds(cfg, p - 1 if w is None else w.q - 1, n)
     if r_fixed is not None and bound < 1:
@@ -400,6 +415,10 @@ def estimate(
         a = pairs.vectors[:, :r].copy()  # a view would pin the p-by-p eigenvectors
     else:
         a = sym_eigen(m_hat(covs, w), r).vectors
+    if v is not None:  # back to p coordinates, signed as a p-by-p fit signs them
+        a = _fix_signs(v @ a)
+        if w is not None:
+            w = WeightMatrix(Q=_fix_signs(v @ w.Q), theta=w.theta, q=w.q)
     h_hat = None if w is None else tuple(
         _ridgeless_solve(y[: n - k] @ w.Q, y[k:] @ a) for k in range(1, cfg.m + 1)
     )

@@ -122,15 +122,16 @@ def select_q(panel: TimePanel, cfg: BicConfig, est_cfg: EstimatorConfig) -> BicT
     """
     panel = demean(panel)
     covs = sample_autocov(panel, cfg.m)
-    return _scan(panel.data, covs, cfg, est_cfg.vartheta_scale * panel.p / panel.n)[0]
+    return _scan(panel.data, panel.p, covs, cfg, est_cfg.vartheta_scale * panel.p / panel.n)[0]
 
 
 def _scan(
-    y: np.ndarray, covs: LagCovSet, cfg: BicConfig, vartheta: float
+    y: np.ndarray, p: int, covs: LagCovSet, cfg: BicConfig, vartheta: float
 ) -> tuple[BicTrace, WeightMatrix]:
     """:func:`select_q` on a demeaned panel ``y`` with at least ``cfg.m``
-    lags in ``covs``; also returns the rank-q0 weight the scan built."""
-    n, p = y.shape
+    lags in ``covs``; also returns the rank-q0 weight the scan built.
+    ``p`` counts the series, which ``y`` may hold in row-space coordinates."""
+    n = y.shape[0]
     if cfg.q0 > min(p, n) - 1:
         raise InvalidConfig(
             f"q0={cfg.q0} must be at most min(p, n) - 1 = {min(p, n) - 1}"

@@ -75,8 +75,14 @@ class TimePanel:
             )
         if self.demeaned:
             mu = arr.mean(axis=0)
-            tol = 1e-10 * max(float(arr.std(axis=0).max()), 0.0)
-            if np.abs(mu).max() > tol:
+            with np.errstate(over="ignore", under="ignore"):
+                std = float(arr.std(axis=0).max())
+            if not 1e-150 < std < np.inf:
+                # The squares inside std() left the normal range (data near
+                # 1e-200 give 0): take it on data scaled by a power of two.
+                e = int(np.frexp(np.abs(arr).max())[1])
+                std = float(np.ldexp(np.ldexp(arr, -e).std(axis=0).max(), e))
+            if np.abs(mu).max() > 1e-10 * std:
                 raise InvalidData("panel flagged demeaned but column means are not 0")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -187,11 +193,8 @@ def sample_autocov(panel: TimePanel, m: int) -> LagCovSet:
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip eigenvector signs so the largest-magnitude entry is >= 0."""
     out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        lead = int(np.argmax(np.abs(col)))  # argmax takes the lowest index on ties
-        if col[lead] < 0:
-            out[:, j] = -col
+    lead = np.argmax(np.abs(out), axis=0)  # argmax takes the lowest index on ties
+    out[:, out[lead, np.arange(out.shape[1])] < 0] *= -1.0
     return out
 
 

@@ -424,3 +424,12 @@ def test_loadings_own_their_memory(method):
     panel, _ = ar_factor_panel(rng, n=120, p=20, r=2)
     fit = estimate(panel, EstimatorConfig(method=method))
     assert fit.A_hat.base is None
+
+
+def test_wauto_rejects_q_beyond_the_lag_regression_rows():
+    # n=12, m=2: the lag-2 regression has n - m = 10 rows, so q=11 leaves
+    # its projected design singular; say so up front instead.
+    panel = TimePanel(np.random.default_rng(0).standard_normal((12, 40)))
+    assert estimate(panel, EstimatorConfig(method="wauto", m=2, q=10)).q_used == 10
+    with pytest.raises(InvalidConfig, match="n - m = 10"):
+        estimate(panel, EstimatorConfig(method="wauto", m=2, q=11))

@@ -428,3 +428,11 @@ def test_matrix_degenerate_spectrum_exits_9(tmp_path):
     args = ["matrix-estimate", str(src), "--m", "1", "--d2", "1"]
     assert run(args + ["--vartheta-scale", "0", "--out", str(tmp_path / "a")]) == 9
     assert run(args + ["--out", str(tmp_path / "b")]) == 0
+
+
+def test_q_beyond_the_lag_regression_rows_exits_5(tmp_path):
+    src = tmp_path / "short.csv"
+    write_panel_csv(src, p=40, n=12)
+    args = ["estimate", str(src), "--method", "wauto", "--m", "2"]
+    assert run(args + ["--q", "11", "--out", str(tmp_path / "a")]) == 5
+    assert run(args + ["--q", "10", "--out", str(tmp_path / "b")]) == 0

@@ -33,8 +33,10 @@ def factor_panel(seed: int, n: int, p: int) -> np.ndarray:
     return x @ load.T + rng.standard_normal((n, p))
 
 
-panels = st.tuples(
-    st.integers(0, 2**32 - 1), st.integers(60, 160), st.integers(10, 40)
+panels = st.one_of(
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(60, 160), st.integers(10, 40)),
+    # p > n: the fit runs in the n-dimensional row space of the panel
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(30, 50), st.integers(51, 120)),
 )
 
 

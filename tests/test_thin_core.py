@@ -1,0 +1,157 @@
+"""The p > n fit in the panel's row space against the p-by-p route.
+
+When p > n, ``estimate`` fits the n-by-n scores ``Z`` of a thin QR
+``y' = V Z'`` and lifts the basis back with ``V``.  ``dense_fit`` below
+is the p-by-p route: it forms every p-by-p autocovariance, weight and
+aggregate, and solves ``H_hat`` by ``lstsq``.  The two must agree to
+round-off, with identical ranks, q and shapes.
+"""
+
+import numpy as np
+import pytest
+
+import tsfactor.factor
+from tsfactor.factor import (
+    EstimatorConfig,
+    _lag_weighted,
+    _ratio_argmax,
+    _resolve_bounds,
+    estimate,
+    m_hat,
+    per_lag_spectra,
+    weight_matrix,
+)
+from tsfactor.modelselect import BicConfig, _default_q0, _scan
+from tsfactor.simulate import SimulationSpec, generate_two_strength
+from tsfactor.tsstats import TimePanel, demean, sample_autocov, subspace_distance, sym_eigen
+
+
+def dense_fit(y: np.ndarray, cfg: EstimatorConfig) -> dict:
+    """One estimator run on p-by-p matrices."""
+    panel = demean(TimePanel(y))
+    n, p = panel.n, panel.p
+    yc = panel.data
+    covs = sample_autocov(panel, 0 if cfg.method == "cov" else cfg.m)
+    w, q = None, None
+    if cfg.method == "wauto":
+        q = cfg.q
+        if not isinstance(q, int):
+            bic = BicConfig(q0=_default_q0(n, p, cfg.m), m=cfg.m)
+            q = _scan(yc, p, covs, bic, cfg.vartheta_scale * p / n)[0].q_hat
+        w = weight_matrix(covs, q)
+    if cfg.method == "cov":
+        pairs = sym_eigen(covs.lag0, p)
+        spectra, ranked, vartheta = (pairs.values,), pairs.values, 0.0
+    else:
+        spectra = tuple(s.values for s in per_lag_spectra(covs, w))
+        ranked = _lag_weighted(spectra, n)
+        vartheta = cfg.vartheta_scale * (p / n) ** (2 if w is None else 1)
+    bound, r_fixed = _resolve_bounds(cfg, p - 1 if w is None else q - 1, n)
+    r_sel, ratios = _ratio_argmax(ranked, vartheta, bound)
+    r = r_fixed if r_fixed is not None else r_sel
+    if cfg.method == "cov":
+        a = pairs.vectors[:, :r]
+    else:
+        a = sym_eigen(m_hat(covs, w), r).vectors
+    h_hat = None if w is None else tuple(
+        np.linalg.lstsq(yc[: n - k] @ w.Q, yc[k:] @ a, rcond=None)[0]
+        for k in range(1, cfg.m + 1)
+    )
+    return dict(r_hat=r, q_used=q, A_hat=a, factors=yc @ a, spectra=spectra,
+                ratios=ratios, H_hat=h_hat)
+
+
+def ar_panel(seed: int, n: int, p: int) -> np.ndarray:
+    """Two AR(1) factors of unequal strength plus white noise."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((n, 2))
+    for t in range(1, n):
+        x[t] = np.array([0.8, 0.6]) * x[t - 1] + rng.standard_normal(2)
+    load = rng.uniform(-1.0, 1.0, size=(p, 2)) * np.array([1.0, 0.6])
+    return x @ load.T + rng.standard_normal((n, p))
+
+
+def duplicated_panel() -> np.ndarray:
+    """150 series at n=60 made of 40 distinct ones, repeated and rescaled,
+    plus 1e-8 noise: the panel is within round-off of rank 40 < n."""
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((60, 40))
+    base[1:] += 0.7 * base[:-1]
+    y = np.hstack([base, base, 2.0 * base[:, :30], -base])
+    return y + 1e-8 * rng.standard_normal(y.shape)
+
+
+def two_strength_panel() -> np.ndarray:
+    spec = SimulationSpec(model="twostrength", n=100, p=300, r0=2, r1=2, delta0=1.0, delta1=0.5)
+    return np.asarray(generate_two_strength(spec, 3)[0].data)
+
+
+PANELS = {
+    "300x60": lambda: ar_panel(1, 60, 300),
+    "40x12": lambda: ar_panel(2, 12, 40),
+    "two_strength": two_strength_panel,
+    "duplicated": duplicated_panel,
+}
+
+CONFIGS = {
+    "cov": EstimatorConfig(method="cov"),
+    "auto": EstimatorConfig(method="auto"),
+    "wauto_q_auto": EstimatorConfig(method="wauto", q="auto"),
+    "wauto_q6": EstimatorConfig(method="wauto", q=6),
+    "cov_r3": EstimatorConfig(method="cov", r_fixed=3),
+    "auto_r2": EstimatorConfig(method="auto", r_fixed=2),
+    "wauto_q6_r2": EstimatorConfig(method="wauto", q=6, r_fixed=2),
+}
+
+
+def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("name", sorted(PANELS))
+def test_thin_fit_matches_the_dense_route(name, config):
+    y = PANELS[name]()
+    assert y.shape[1] > y.shape[0]
+    cfg = CONFIGS[config]
+    fit = estimate(TimePanel(y), cfg)
+    want = dense_fit(y, cfg)
+    assert (fit.r_hat, fit.q_used) == (want["r_hat"], want["q_used"])
+    assert fit.A_hat.shape == want["A_hat"].shape
+    assert fit.A_hat.base is None
+    assert subspace_distance(fit.A_hat, want["A_hat"]) <= 1e-10
+    assert fit.ratios.shape == want["ratios"].shape
+    assert relative_gap(fit.ratios, want["ratios"]) <= 1e-10
+    assert len(fit.eigenvalues_per_lag) == len(want["spectra"])
+    for got, dense in zip(fit.eigenvalues_per_lag, want["spectra"]):
+        assert got.shape == dense.shape
+        assert np.abs(got - dense).max() <= 1e-10 * dense[0]
+        if fit.q_used is None:  # cov and auto: exact zeros outside the row space
+            assert np.all(got[y.shape[0]:] == 0.0)
+    # the factors carry the loadings' column signs, so this also checks them
+    assert relative_gap(fit.factors, want["factors"]) <= 1e-9
+    if want["H_hat"] is None:
+        assert fit.H_hat is None
+    else:
+        assert [h.shape for h in fit.H_hat] == [h.shape for h in want["H_hat"]]
+        for got, dense in zip(fit.H_hat, want["H_hat"]):
+            assert relative_gap(got, dense) <= 1e-9
+
+
+def test_thin_fit_forms_no_p_by_p_matrix(monkeypatch):
+    seen = []
+
+    def recording(name, func):
+        def wrapped(first, *args, **kwargs):
+            seen.append((name, np.shape(getattr(first, "data", first))))
+            return func(first, *args, **kwargs)
+        return wrapped
+
+    for name in ("sample_autocov", "sym_eigen"):
+        monkeypatch.setattr(tsfactor.factor, name, recording(name, getattr(tsfactor.factor, name)))
+    panel = TimePanel(ar_panel(4, 50, 200))
+    for method in ("cov", "auto", "wauto"):
+        estimate(panel, EstimatorConfig(method=method))
+    assert {name for name, _ in seen} == {"sample_autocov", "sym_eigen"}
+    assert max(max(shape) for _, shape in seen) == 50
+

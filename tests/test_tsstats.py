@@ -7,6 +7,7 @@ from tsfactor.errors import InvalidData, InvalidLag, PreconditionViolated
 from tsfactor.tsstats import (
     EigenPairs,
     TimePanel,
+    _fix_signs,
     _varimax_criterion,
     demean,
     sample_autocov,
@@ -310,3 +311,49 @@ def test_varimax_preserves_column_space():
 def test_varimax_rejects_zero_matrix():
     with pytest.raises(InvalidData):
         varimax(np.zeros((4, 2)))
+
+
+# ------------------------------------------------------- tiny scales, signs
+
+
+@pytest.mark.parametrize("scale", [1e-200, 2.0**-300, 2.0**-600])
+def test_demean_accepts_tiny_scales(scale):
+    # The demeaned check compares the column means with 1e-10 times the
+    # largest column std; squaring 1e-200 underflows to 0 in a plain std.
+    y = np.random.default_rng(3).standard_normal((50, 8)) * scale
+    out = demean(TimePanel(y))
+    assert out.demeaned
+    assert np.abs(out.data.mean(axis=0)).max() <= 1e-12 * scale
+
+
+def test_demeaned_flag_still_rejected_at_tiny_scales():
+    for scale in (1.0, 1e-200, 2.0**-600):
+        with pytest.raises(InvalidData):
+            TimePanel(np.array([[1.0], [2.0]]) * scale, demeaned=True)
+
+
+def fix_signs_by_loop(vectors):
+    """Column-by-column reference for the sign rule."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        lead = int(np.argmax(np.abs(col)))
+        if col[lead] < 0:
+            out[:, j] = -col
+    return out
+
+
+def test_fix_signs_matches_the_column_loop_bit_for_bit():
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        vectors = rng.standard_normal((7, 6))
+        vectors[:, 0] = 0.0  # a zero column keeps its signs
+        vectors[2, 1], vectors[5, 1] = -9.0, 9.0  # tie: the lower row (negative) leads
+        vectors[2, 2], vectors[5, 2] = 9.0, -9.0
+        vectors[:, 3] = -0.0
+        want = fix_signs_by_loop(vectors)
+        got = _fix_signs(vectors)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert _fix_signs(vectors)[2, 1] == 9.0 and _fix_signs(vectors)[2, 2] == 9.0
+    assert _fix_signs(np.zeros((3, 0))).shape == (3, 0)
