@@ -45,7 +45,7 @@ from .io import (
     write_trace_kv,
 )
 from .matrixfactor import estimate_matrix
-from .modelselect import BicConfig, _default_q0, select_q
+from .modelselect import BicConfig, _default_q0
 from .simulate import SimulationSpec, run_monte_carlo
 from .tsstats import TimePanel
 
@@ -61,63 +61,6 @@ _EXIT_BY_ERROR: tuple[tuple[type, int], ...] = (
     (DegenerateSpectrum, 9),
     (TsfactorError, 10),
 )
-
-_DEFAULTS: dict[str, dict[str, object]] = {
-    "estimate": {
-        "method": "wauto",
-        "m": 2,
-        "q": "auto",
-        "q0": None,
-        "bic_c": 0.2,
-        "vartheta_scale": 0.1,
-        "r": None,
-        "r_max": None,
-        "no_demean": False,
-    },
-    "select-q": {
-        "m": 2,
-        "q0": None,
-        "bic_c": 0.2,
-        "vartheta_scale": 0.1,
-        "no_demean": False,
-    },
-    "simulate": {
-        "model": "uniform",
-        "p": 100,
-        "n": 300,
-        "r0": 3,
-        "r1": None,
-        "delta0": 1.0,
-        "delta1": None,
-        "noise_scale": 1.0,
-        "runs": 100,
-        "seed": 0,
-        "threads": None,
-        "method": "all",
-        "m": 2,
-        "q": "auto",
-        "vartheta_scale": 0.1,
-    },
-    "forecast": {
-        "method": "all",
-        "m": 2,
-        "q": "auto",
-        "vartheta_scale": 0.1,
-        "h": 1,
-        "r": 1,
-        "n1": None,
-        "standardize_per_window": False,
-    },
-    "matrix-estimate": {
-        "m": 2,
-        "q1": None,
-        "q2": None,
-        "d1": None,
-        "d2": None,
-        "vartheta_scale": 0.1,
-    },
-}
-
 
 def _q_flag(text: str):
     if text == "auto":
@@ -151,15 +94,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", help="CSV file, one row per time point")
         p.add_argument("--out", default=".", help="directory for the artifacts")
         p.add_argument("--config", default=None, help="JSON file with option defaults")
+        p.set_defaults(subparser=p)
         return p
 
     p = add("estimate", "estimate loadings and the factor count", True)
-    p.add_argument("--method", default=None, choices=["cov", "auto", "wauto"])
-    p.add_argument("--m", type=int, default=None, help="number of lags aggregated")
-    p.add_argument("--q", type=_q_flag, default=None, help="projection dimension or 'auto'")
+    p.add_argument("--method", default="wauto", choices=["cov", "auto", "wauto"])
+    p.add_argument("--m", type=int, default=2, help="number of lags aggregated")
+    p.add_argument("--q", type=_q_flag, default="auto", help="projection dimension or 'auto'")
     p.add_argument("--q0", type=int, default=None, help="ceiling of the q scan")
-    p.add_argument("--bic-c", type=float, default=None, help="BIC penalty constant")
-    p.add_argument("--vartheta-scale", type=float, default=None, help="ratio offset scale")
+    p.add_argument("--bic-c", type=float, default=0.2, help="BIC penalty constant")
+    p.add_argument("--vartheta-scale", type=float, default=0.1, help="ratio offset scale")
     p.add_argument("--r", type=int, default=None, help="fix the factor count")
     p.add_argument("--r-max", type=int, default=None, help="cap the factor-count search")
     p.add_argument("--no-demean", action="store_true", default=False,
@@ -167,87 +111,82 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = add("select-q", "scan the projection dimension by generalized BIC", True)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--m", type=int, default=2)
     p.add_argument("--q0", type=int, default=None)
-    p.add_argument("--bic-c", type=float, default=None)
-    p.add_argument("--vartheta-scale", type=float, default=None)
+    p.add_argument("--bic-c", type=float, default=0.2)
+    p.add_argument("--vartheta-scale", type=float, default=0.1)
     p.add_argument("--no-demean", action="store_true", default=False)
     p.set_defaults(func=_cmd_select_q)
 
     p = add("simulate", "Monte Carlo study of the three estimators", False)
-    p.add_argument("--model", default=None, choices=["uniform", "twostrength"])
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--r0", type=int, default=None)
+    p.add_argument("--model", default="uniform", choices=["uniform", "twostrength"])
+    p.add_argument("--p", type=int, default=100)
+    p.add_argument("--n", type=int, default=300)
+    p.add_argument("--r0", type=int, default=3)
     p.add_argument("--r1", type=int, default=None)
-    p.add_argument("--delta0", type=float, default=None)
+    p.add_argument("--delta0", type=float, default=1.0)
     p.add_argument("--delta1", type=float, default=None)
-    p.add_argument("--noise-scale", type=float, default=None)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--noise-scale", type=float, default=1.0)
+    p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--method", default=None, choices=["cov", "auto", "wauto", "all"])
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--q", type=_q_flag, default=None)
-    p.add_argument("--vartheta-scale", type=float, default=None)
+    p.add_argument("--method", default="all", choices=["cov", "auto", "wauto", "all"])
+    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--q", type=_q_flag, default="auto")
+    p.add_argument("--vartheta-scale", type=float, default=0.1)
     p.set_defaults(func=_cmd_simulate)
 
     p = add("forecast", "expanding-window forecast comparison", True)
-    p.add_argument("--method", default=None, choices=["cov", "auto", "wauto", "all"])
-    p.add_argument("--h", type=int, default=None, help="forecast horizon")
-    p.add_argument("--r", type=int, default=None, help="factor count used in every window")
+    p.add_argument("--method", default="all", choices=["cov", "auto", "wauto", "all"])
+    p.add_argument("--h", type=int, default=1, help="forecast horizon")
+    p.add_argument("--r", type=int, default=1, help="factor count used in every window")
     p.add_argument("--n1", type=int, default=None, help="first training window length")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--q", type=_q_flag, default=None)
-    p.add_argument("--vartheta-scale", type=float, default=None)
+    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--q", type=_q_flag, default="auto")
+    p.add_argument("--vartheta-scale", type=float, default=0.1)
     p.add_argument("--standardize-per-window", action="store_true", default=False,
                    help="score in original units with per-window scaling")
     p.set_defaults(func=_cmd_forecast)
 
     p = add("matrix-estimate", "row/column loading spaces of a matrix series", True)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--m", type=int, default=2)
     p.add_argument("--q1", type=int, default=None)
     p.add_argument("--q2", type=int, default=None)
     p.add_argument("--d1", type=int, default=None)
     p.add_argument("--d2", type=int, default=None)
-    p.add_argument("--vartheta-scale", type=float, default=None)
+    p.add_argument("--vartheta-scale", type=float, default=0.1)
     p.set_defaults(func=_cmd_matrix)
 
     return parser
 
 
-def _merge_options(args: argparse.Namespace) -> dict:
-    """Resolve each option as flag, else config-file entry, else default."""
-    defaults = _DEFAULTS[args.command]
-    from_file: dict = {}
-    if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                from_file = json.load(fh)
-        except OSError as exc:
-            raise InvalidConfig(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"config file is not valid JSON: {exc}") from None
-        if not isinstance(from_file, dict):
-            raise InvalidConfig("config file must hold a JSON object")
-        from_file = {key.replace("-", "_"): value for key, value in from_file.items()}
-        unknown = sorted(set(from_file) - set(defaults))
-        if unknown:
-            raise InvalidConfig(
-                f"unknown config keys for {args.command}: {', '.join(unknown)}"
-            )
-    merged = {}
-    for key, fallback in defaults.items():
-        value = getattr(args, key.replace("-", "_"))
-        if value is None or value is False:
-            value = from_file.get(key, fallback)
-        merged[key] = value
-    return merged
+# Namespace entries that are not options a config file may set.
+_NOT_CONFIG = frozenset({"command", "func", "subparser", "input", "out", "config"})
 
 
-def _load_panel(args: argparse.Namespace, no_demean: bool) -> TimePanel:
-    panel = ingest_csv(args.input, demean_panel=not no_demean)
-    if no_demean:
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace, argv):
+    """Re-parse ``argv`` with the ``--config`` file's entries as the
+    subcommand's defaults: a flag beats the file, the file beats a default."""
+    try:
+        with open(args.config) as fh:
+            from_file = json.load(fh)
+    except OSError as exc:
+        raise InvalidConfig(f"cannot read config file: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InvalidConfig(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(from_file, dict):
+        raise InvalidConfig("config file must hold a JSON object")
+    from_file = {key.replace("-", "_"): value for key, value in from_file.items()}
+    unknown = sorted(set(from_file) - (set(vars(args)) - _NOT_CONFIG))
+    if unknown:
+        raise InvalidConfig(f"unknown config keys for {args.command}: {', '.join(unknown)}")
+    args.subparser.set_defaults(**from_file)
+    return parser.parse_args(argv)
+
+
+def _load_panel(args: argparse.Namespace) -> TimePanel:
+    panel = ingest_csv(args.input, demean_panel=not args.no_demean)
+    if args.no_demean:
         panel = TimePanel(panel.data, names=panel.names, demeaned=True)
     return panel
 
@@ -287,30 +226,29 @@ def _ratio_table(ratios: np.ndarray) -> str:
     return "\n".join(lines)
 
 
-def _bic_config(opt: dict, panel: TimePanel) -> BicConfig:
+def _bic_config(args: argparse.Namespace, panel: TimePanel) -> BicConfig:
     """Settings of the q scan; an unset q0 takes the panel's default ceiling."""
-    q0 = opt["q0"] if opt["q0"] is not None else _default_q0(panel.n, panel.p, opt["m"])
-    return BicConfig(C=opt["bic_c"], q0=q0, m=opt["m"])
+    q0 = args.q0 if args.q0 is not None else _default_q0(panel.n, panel.p, args.m)
+    return BicConfig(C=args.bic_c, q0=q0, m=args.m)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    opt = _merge_options(args)
-    panel = _load_panel(args, opt["no_demean"])
+    panel = _load_panel(args)
     cfg = EstimatorConfig(
-        method=opt["method"],
-        m=opt["m"],
-        q=opt["q"],
-        vartheta_scale=opt["vartheta_scale"],
-        r_search_max=opt["r_max"],
-        r_fixed=opt["r"],
+        method=args.method,
+        m=args.m,
+        q=args.q,
+        vartheta_scale=args.vartheta_scale,
+        r_search_max=args.r_max,
+        r_fixed=args.r,
     )
     scans = cfg.method == "wauto" and not isinstance(cfg.q, int)
-    fit = estimate(panel, cfg, bic=_bic_config(opt, panel) if scans else None)
+    fit = estimate(panel, cfg, bic=_bic_config(args, panel) if scans else None)
     os.makedirs(args.out, exist_ok=True)
     q_text = "-" if fit.q_used is None else str(fit.q_used)
     report = (
         "factor estimate\n"
-        f"method={fit.method}  m={opt['m']}  q={q_text}\n"
+        f"method={fit.method}  m={args.m}  q={q_text}\n"
         f"n={panel.n}  p={panel.p}\n"
         f"r_hat={fit.r_hat}\n"
         + _ratio_table(fit.ratios)
@@ -332,26 +270,15 @@ def _write_factors(out_dir: str, factors: np.ndarray) -> None:
 
 
 def _cmd_select_q(args: argparse.Namespace) -> int:
-    opt = _merge_options(args)
-    panel = _load_panel(args, opt["no_demean"])
-    bic = _bic_config(opt, panel)
-    est_cfg = EstimatorConfig(
-        method="wauto", m=opt["m"], vartheta_scale=opt["vartheta_scale"]
-    )
-    trace = select_q(panel, bic, est_cfg)
+    panel = _load_panel(args)
+    bic = _bic_config(args, panel)
+    cfg = EstimatorConfig(method="wauto", m=args.m, vartheta_scale=args.vartheta_scale)
+    fit = estimate(panel, cfg, bic=bic)
+    trace = fit.bic_trace
     os.makedirs(args.out, exist_ok=True)
-    fit = estimate(
-        panel,
-        EstimatorConfig(
-            method="wauto",
-            m=opt["m"],
-            q=trace.q_hat,
-            vartheta_scale=opt["vartheta_scale"],
-        ),
-    )
     lines = [
         "projection dimension scan",
-        f"n={panel.n}  p={panel.p}  q0={bic.q0}  C={opt['bic_c']:.6g}",
+        f"n={panel.n}  p={panel.p}  q0={bic.q0}  C={args.bic_c:.6g}",
         f"q_hat={trace.q_hat}  r_bar={trace.r_bar}  r_hat={fit.r_hat}",
         "q  r_hat  bic_total",
     ]
@@ -377,40 +304,37 @@ def _cmd_select_q(args: argparse.Namespace) -> int:
     return 0
 
 
-def _method_configs(opt: dict, r_fixed=None, r_max=None) -> tuple[EstimatorConfig, ...]:
-    names = ["cov", "auto", "wauto"] if opt["method"] == "all" else [opt["method"]]
+def _method_configs(args: argparse.Namespace) -> tuple[EstimatorConfig, ...]:
+    names = ["cov", "auto", "wauto"] if args.method == "all" else [args.method]
     return tuple(
         EstimatorConfig(
             method=name,
-            m=opt["m"],
-            q=opt["q"],
-            vartheta_scale=opt["vartheta_scale"],
-            r_fixed=r_fixed,
-            r_search_max=r_max,
+            m=args.m,
+            q=args.q,
+            vartheta_scale=args.vartheta_scale,
         )
         for name in names
     )
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    opt = _merge_options(args)
-    r1 = opt["r1"]
+    r1 = args.r1
     if r1 is None:
-        r1 = 0 if opt["model"] == "uniform" else 3
+        r1 = 0 if args.model == "uniform" else 3
     spec = SimulationSpec(
-        model=opt["model"],
-        n=opt["n"],
-        p=opt["p"],
-        r0=opt["r0"],
+        model=args.model,
+        n=args.n,
+        p=args.p,
+        r0=args.r0,
         r1=r1,
-        delta0=opt["delta0"],
-        delta1=opt["delta1"],
-        n_runs=opt["runs"],
-        base_seed=opt["seed"],
-        methods=_method_configs(opt),
-        noise_scale=opt["noise_scale"],
+        delta0=args.delta0,
+        delta1=args.delta1,
+        n_runs=args.runs,
+        base_seed=args.seed,
+        methods=_method_configs(args),
+        noise_scale=args.noise_scale,
     )
-    report_obj = run_monte_carlo(spec, threads=_positive_threads(opt["threads"]))
+    report_obj = run_monte_carlo(spec, threads=_positive_threads(args.threads))
     delta1_text = fmt_float(spec.delta0 if spec.delta1 is None else spec.delta1)
     lines = [
         "monte carlo study",
@@ -463,15 +387,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_forecast(args: argparse.Namespace) -> int:
-    opt = _merge_options(args)
     panel = ingest_csv(args.input, demean_panel=False)
-    n1 = opt["n1"] if opt["n1"] is not None else panel.n - 50
-    standardize = "train" if opt["standardize_per_window"] else "global"
+    n1 = args.n1 if args.n1 is not None else panel.n - 50
+    standardize = "train" if args.standardize_per_window else "global"
     report_obj = expanding_window_eval(
         panel,
-        _method_configs(opt),
-        r_hat=opt["r"],
-        h=opt["h"],
+        _method_configs(args),
+        r_hat=args.r,
+        h=args.h,
         n1=n1,
         standardize=standardize,
     )
@@ -499,7 +422,7 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
         ("n", panel.n),
         ("p", panel.p),
         ("h", report_obj.h),
-        ("r", opt["r"]),
+        ("r", args.r),
         ("n1", report_obj.n1),
         ("n2", report_obj.n2),
         ("standardize", standardize),
@@ -515,16 +438,15 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    opt = _merge_options(args)
     mp = ingest_matrix_csv(args.input)
     fit = estimate_matrix(
         mp,
-        m=opt["m"],
-        q1=opt["q1"],
-        q2=opt["q2"],
-        d1=opt["d1"],
-        d2=opt["d2"],
-        vartheta_scale=opt["vartheta_scale"],
+        m=args.m,
+        q1=args.q1,
+        q2=args.q2,
+        d1=args.d1,
+        d2=args.d2,
+        vartheta_scale=args.vartheta_scale,
     )
     lines = [
         "matrix factor estimate",
@@ -566,6 +488,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            args = _apply_config(parser, args, argv)
         return args.func(args)
     except TsfactorError as exc:
         print(f"error: {exc}", file=sys.stderr)

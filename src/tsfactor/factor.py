@@ -25,7 +25,12 @@ lag-regression kernel serves :func:`rrr_solution`, the BIC scan and the
 When p > n, :func:`estimate` runs in the panel's n-dimensional row space:
 it fits the n-by-n scores Z of a thin QR ``y' = V Z'``, since
 ``Omega(k) = V Omega_Z(k) V'``, and lifts the basis back with V.  The
-numbers agree with the p-by-p route to round-off.
+numbers agree with the p-by-p route to round-off.  :func:`estimate` is
+the one entry to the q scan: a ``wauto`` fit with ``q="auto"`` records
+the scan's :class:`~tsfactor.modelselect.BicTrace` as
+``FactorFit.bic_trace``, and :func:`~tsfactor.modelselect.select_q` and
+``tsfactor select-q`` read it from there, so they run in the row space
+too.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .modelselect import BicConfig
+    from .modelselect import BicConfig, BicTrace
 
 import numpy as np
 
@@ -149,15 +154,11 @@ class WeightMatrix:
         if self.theta.min() <= 0:
             raise InvalidData("weight matrix eigenvalues must be positive")
 
-    def dense(self) -> np.ndarray:
-        """Materialize W as a p-by-p matrix."""
-        w = (self.Q / self.theta) @ self.Q.T
-        return 0.5 * (w + w.T)
-
 
 @dataclass(frozen=True)
 class FactorFit:
-    """Result of one estimator run."""
+    """Result of one estimator run; ``bic_trace`` holds the q scan of a
+    ``wauto`` fit with ``q="auto"`` and is None for every other fit."""
 
     method: str
     r_hat: int
@@ -167,6 +168,7 @@ class FactorFit:
     ratios: np.ndarray
     q_used: Optional[int] = None
     H_hat: Optional[tuple[np.ndarray, ...]] = None
+    bic_trace: "Optional[BicTrace]" = None
 
     def __post_init__(self):
         r = self.A_hat.shape[1]
@@ -358,8 +360,9 @@ def estimate(
     -------
     FactorFit
         Loadings, factors ``panel @ A_hat``, the spectra and ratio
-        sequence behind the factor-count choice, and (``wauto`` only)
-        the per-lag regression coefficients ``H_hat``.
+        sequence behind the factor-count choice, (``wauto`` only) the
+        per-lag regression coefficients ``H_hat`` and (scanned q only)
+        the scan's ``bic_trace``.
     """
     panel = demean(panel)
     n, p = panel.n, panel.p
@@ -377,7 +380,7 @@ def estimate(
         v, tri = np.linalg.qr(y.T)
         rows = TimePanel(tri.T, demeaned=True)
 
-    w = None
+    w, trace = None, None
     if cfg.method == "wauto" and not isinstance(cfg.q, int):
         from .modelselect import BicConfig, _default_q0, _scan
 
@@ -431,6 +434,7 @@ def estimate(
         ratios=ratios,
         q_used=None if w is None else w.q,
         H_hat=h_hat,
+        bic_trace=trace,
     )
 
 

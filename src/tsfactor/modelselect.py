@@ -26,11 +26,12 @@ from .factor import (
     WeightMatrix,
     _half_weighted,
     _lag_fit,
+    estimate,
     rrr_solution,
     select_r,
     weight_matrix,
 )
-from .tsstats import LagCovSet, TimePanel, demean, sample_autocov
+from .tsstats import LagCovSet, TimePanel
 
 __all__ = ["BicConfig", "BicTrace", "bic_k", "select_q"]
 
@@ -119,18 +120,22 @@ def select_q(panel: TimePanel, cfg: BicConfig, est_cfg: EstimatorConfig) -> BicT
     q values that leave room for at least that many factors compete.
     Ties go to the smallest q.  The returned trace carries the full BIC
     surface; determinism is bit-for-bit for identical inputs.
+
+    This is the ``bic_trace`` of a ``wauto`` :func:`~tsfactor.factor.estimate`
+    with ``q="auto"``, ``m = cfg.m`` and ``est_cfg``'s offset scale, so
+    the scan runs in the panel's row space when p > n.
     """
-    panel = demean(panel)
-    covs = sample_autocov(panel, cfg.m)
-    return _scan(panel.data, panel.p, covs, cfg, est_cfg.vartheta_scale * panel.p / panel.n)[0]
+    est = EstimatorConfig(method="wauto", m=cfg.m, vartheta_scale=est_cfg.vartheta_scale)
+    return estimate(panel, est, cfg).bic_trace
 
 
 def _scan(
     y: np.ndarray, p: int, covs: LagCovSet, cfg: BicConfig, vartheta: float
 ) -> tuple[BicTrace, WeightMatrix]:
-    """:func:`select_q` on a demeaned panel ``y`` with at least ``cfg.m``
-    lags in ``covs``; also returns the rank-q0 weight the scan built.
-    ``p`` counts the series, which ``y`` may hold in row-space coordinates."""
+    """The q scan behind :func:`select_q`, run by :func:`~tsfactor.factor.estimate`
+    on a demeaned panel ``y`` with at least ``cfg.m`` lags in ``covs``;
+    also returns the rank-q0 weight the scan built.  ``p`` counts the
+    series, which ``y`` holds in row-space coordinates when p > n."""
     n = y.shape[0]
     if cfg.q0 > min(p, n) - 1:
         raise InvalidConfig(

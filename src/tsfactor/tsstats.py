@@ -17,7 +17,7 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "sample_autocov",
     "sym_eigen",
     "subspace_distance",
-    "varimax",
 ]
 
 
@@ -245,71 +244,3 @@ def subspace_distance(k1: np.ndarray, k2: np.ndarray) -> float:
     resid = small - big @ (big.T @ small)
     radicand = (qmax - qmin + float(np.sum(resid**2))) / qmax
     return float(np.sqrt(max(0.0, min(1.0, radicand))))
-
-
-def _varimax_criterion(loadings: np.ndarray) -> float:
-    """Sum over columns of the variance of squared loadings."""
-    sq = loadings**2
-    return float(np.sum(sq.var(axis=0)))
-
-
-def varimax(
-    loadings: np.ndarray,
-    tol: float = 1e-10,
-    max_sweeps: int = 500,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate a loading matrix to maximize the varimax criterion.
-
-    Runs pairwise planar (Jacobi) rotations on raw loadings - no row
-    normalization - until a full sweep over all column pairs improves
-    the criterion by less than ``tol``, or ``max_sweeps`` is reached.
-    Each pair's optimal angle has the classical closed form.
-
-    Parameters
-    ----------
-    loadings : ndarray, shape (p, r)
-    tol : float
-        Convergence threshold on the per-sweep criterion gain.
-    max_sweeps : int
-        Upper bound on full sweeps.
-
-    Returns
-    -------
-    rotated : ndarray, shape (p, r)
-        ``loadings @ rotation``.
-    rotation : ndarray, shape (r, r)
-        Orthogonal rotation actually applied.
-    """
-    arr = _as_float_matrix(loadings, "loadings")
-    p, r = arr.shape
-    if r < 1:
-        raise InvalidData("varimax needs at least one column")
-    if np.abs(arr).max() == 0.0:
-        raise InvalidData("varimax is undefined for an all-zero loading matrix")
-    rotation = np.eye(r)
-    if r == 1:
-        return arr.copy(), rotation
-    rotated = arr.copy()
-    crit = _varimax_criterion(rotated)
-    for _ in range(max_sweeps):
-        for a in range(r - 1):
-            for b in range(a + 1, r):
-                x = rotated[:, a]
-                y = rotated[:, b]
-                u = x**2 - y**2
-                v = 2.0 * x * y
-                su, sv = u.sum(), v.sum()
-                num = 2.0 * (u @ v) - 2.0 * su * sv / p
-                den = (u @ u - v @ v) - (su**2 - sv**2) / p
-                phi = 0.25 * np.arctan2(num, den)
-                if abs(phi) < 1e-15:
-                    continue
-                c, s = np.cos(phi), np.sin(phi)
-                plane = np.array([[c, -s], [s, c]])
-                rotated[:, [a, b]] = rotated[:, [a, b]] @ plane
-                rotation[:, [a, b]] = rotation[:, [a, b]] @ plane
-        new_crit = _varimax_criterion(rotated)
-        if new_crit - crit < tol:
-            break
-        crit = new_crit
-    return rotated, rotation

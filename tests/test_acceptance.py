@@ -237,8 +237,8 @@ def test_accept_property_invariants_and_thread_determinism(tmp_path):
 
     Re-runs the decisive property checks (weight identity and dual
     formula, reduced-rank optimality against random restarts, rotation
-    equivariance, subspace-distance metric behaviour, varimax fixed
-    point and grid-search agreement, autocovariance double-loop oracle),
+    equivariance, subspace-distance metric behaviour, autocovariance
+    double-loop oracle),
     then demonstrates that Monte Carlo reports are equal across thread
     counts and CLI artifacts are byte-identical.
     """
@@ -251,8 +251,6 @@ def test_accept_property_invariants_and_thread_determinism(tmp_path):
     _ts.test_distance_oblique_pair()
     _ts.test_distance_rotation_invariance()
     _ts.test_distance_symmetry_and_range()
-    _ts.test_varimax_fixed_point()
-    _ts.test_varimax_matches_angle_grid_oracle()
     _ts.test_autocov_matches_double_loop_oracle()
 
     spec = SimulationSpec(

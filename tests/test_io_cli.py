@@ -249,6 +249,32 @@ class TestCliEstimate:
         ]) == 4
 
 
+    def test_config_file_sets_q0_and_no_demean(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        write_panel_csv(raw, p=12, n=90)
+        centered = tmp_path / "centered.csv"
+        with open(centered, "w") as fh:
+            for row in ingest_csv(raw).data:
+                fh.write(",".join(fmt_float(v) for v in row) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"q0": 4, "no_demean": true}')
+
+        def artifacts(name, *args):
+            out = tmp_path / name
+            assert run(["estimate", str(centered), *args, "--out", str(out)]) == 0
+            return [(out / a).read_bytes() for a in ("report.txt", "result.csv", "trace.kv")]
+
+        from_flags = artifacts("flags", "--q0", "4", "--no-demean")
+        assert artifacts("file", "--config", str(cfg)) == from_flags
+        assert int(read_kv(tmp_path / "file" / "trace.kv")["q_used"]) <= 4
+        # a flag beats the file
+        assert artifacts("both", "--config", str(cfg), "--q0", "6") == artifacts(
+            "flags6", "--q0", "6", "--no-demean"
+        )
+        # the file's no_demean holds: uncentered input is rejected as invalid data
+        assert run(["estimate", str(raw), "--config", str(cfg), "--out", str(tmp_path / "x")]) == 4
+
+
 class TestCliErrors:
     def test_ingest_errors_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -436,3 +462,11 @@ def test_q_beyond_the_lag_regression_rows_exits_5(tmp_path):
     args = ["estimate", str(src), "--method", "wauto", "--m", "2"]
     assert run(args + ["--q", "11", "--out", str(tmp_path / "a")]) == 5
     assert run(args + ["--q", "10", "--out", str(tmp_path / "b")]) == 0
+
+
+def test_lag_count_at_the_sample_size_exits_5_on_both_commands(tmp_path):
+    src = tmp_path / "short.csv"
+    write_panel_csv(src, p=40, n=12)
+    for command in ("estimate", "select-q"):
+        args = [command, str(src), "--m", "12", "--q0", "3", "--out", str(tmp_path / command)]
+        assert run(args) == 5

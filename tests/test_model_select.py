@@ -1,5 +1,6 @@
 """Tests for the generalized-BIC choice of the projection dimension q."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -163,3 +164,15 @@ def test_estimate_auto_q_uses_bic_choice():
     fit2 = estimate(panel, est_cfg, bic=BicConfig(q0=5, m=2))
     trace2 = select_q(panel, BicConfig(q0=5, m=2), est_cfg)
     assert fit2.q_used == trace2.q_hat
+    # the fit carries the scan it ran, field for field
+    for scanned, want in ((fit, trace), (fit2, trace2)):
+        got = scanned.bic_trace
+        for field in dataclasses.fields(want):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+    # and no other fit scans
+    for cfg in (
+        EstimatorConfig(method="cov"),
+        EstimatorConfig(method="auto"),
+        EstimatorConfig(method="wauto", q=5),
+    ):
+        assert estimate(panel, cfg).bic_trace is None

@@ -7,10 +7,13 @@ aggregate, and solves ``H_hat`` by ``lstsq``.  The two must agree to
 round-off, with identical ranks, q and shapes.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
-import tsfactor.factor
+import tsfactor.tsstats
+from tsfactor.cli import run
 from tsfactor.factor import (
     EstimatorConfig,
     _lag_weighted,
@@ -21,7 +24,7 @@ from tsfactor.factor import (
     per_lag_spectra,
     weight_matrix,
 )
-from tsfactor.modelselect import BicConfig, _default_q0, _scan
+from tsfactor.modelselect import BicConfig, _default_q0, _scan, select_q
 from tsfactor.simulate import SimulationSpec, generate_two_strength
 from tsfactor.tsstats import TimePanel, demean, sample_autocov, subspace_distance, sym_eigen
 
@@ -138,7 +141,9 @@ def test_thin_fit_matches_the_dense_route(name, config):
             assert relative_gap(got, dense) <= 1e-9
 
 
-def test_thin_fit_forms_no_p_by_p_matrix(monkeypatch):
+def record_core_calls(monkeypatch) -> list:
+    """Record the argument shape of every ``sample_autocov`` and ``sym_eigen``
+    call, through each ``tsfactor`` module's binding of them."""
     seen = []
 
     def recording(name, func):
@@ -148,10 +153,33 @@ def test_thin_fit_forms_no_p_by_p_matrix(monkeypatch):
         return wrapped
 
     for name in ("sample_autocov", "sym_eigen"):
-        monkeypatch.setattr(tsfactor.factor, name, recording(name, getattr(tsfactor.factor, name)))
+        original = getattr(tsfactor.tsstats, name)
+        wrapped = recording(name, original)
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "tsfactor"]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapped)
+    return seen
+
+
+def test_thin_fit_forms_no_p_by_p_matrix(monkeypatch):
+    seen = record_core_calls(monkeypatch)
     panel = TimePanel(ar_panel(4, 50, 200))
     for method in ("cov", "auto", "wauto"):
         estimate(panel, EstimatorConfig(method=method))
     assert {name for name, _ in seen} == {"sample_autocov", "sym_eigen"}
     assert max(max(shape) for _, shape in seen) == 50
 
+
+def test_select_q_forms_no_p_by_p_matrix(monkeypatch, tmp_path):
+    y = ar_panel(4, 50, 200)
+    src = tmp_path / "panel.csv"
+    np.savetxt(src, y, delimiter=",", fmt="%.17g")
+    seen = record_core_calls(monkeypatch)
+    trace = select_q(TimePanel(y), BicConfig(q0=10), EstimatorConfig(method="wauto"))
+    assert trace.q_hat in trace.candidates
+    assert {name for name, _ in seen} == {"sample_autocov", "sym_eigen"}
+    assert max(max(shape) for _, shape in seen) == 50
+    seen.clear()
+    assert run(["select-q", str(src), "--q0", "10", "--out", str(tmp_path / "out")]) == 0
+    assert {name for name, _ in seen} == {"sample_autocov", "sym_eigen"}
+    assert max(max(shape) for _, shape in seen) == 50

@@ -1,4 +1,4 @@
-"""Tests for panels, autocovariances, eigen tools, and varimax."""
+"""Tests for panels, autocovariances and eigen tools."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,10 @@ from tsfactor.tsstats import (
     EigenPairs,
     TimePanel,
     _fix_signs,
-    _varimax_criterion,
     demean,
     sample_autocov,
     subspace_distance,
     sym_eigen,
-    varimax,
 )
 
 
@@ -245,72 +243,6 @@ def test_distance_symmetry_and_range():
 def test_distance_rejects_nonorthonormal():
     with pytest.raises(PreconditionViolated):
         subspace_distance(np.array([[1.0], [1.0]]), np.array([[1.0], [0.0]]))
-
-
-# --------------------------------------------------------------- varimax
-
-
-def rotation_2d(theta):
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def test_varimax_fixed_point():
-    loads = np.vstack([np.eye(2), np.zeros((4, 2))])
-    rotated, rotation = varimax(loads)
-    assert _varimax_criterion(rotated) == pytest.approx(
-        _varimax_criterion(loads), abs=1e-10
-    )
-    # rotation is identity up to column sign/permutation
-    assert np.allclose(np.abs(rotation.T @ rotation), np.eye(2), atol=1e-8)
-    assert np.abs(np.abs(rotation).sum(axis=0) - 1).max() <= 1e-8
-
-
-def test_varimax_single_column():
-    loads = np.array([[1.0], [2.0], [3.0]])
-    rotated, rotation = varimax(loads)
-    assert np.array_equal(rotated, loads)
-    assert rotation.shape == (1, 1) and rotation[0, 0] == 1.0
-
-
-def test_varimax_matches_angle_grid_oracle():
-    rng = np.random.default_rng(43)
-    for _ in range(5):
-        loads = rng.normal(size=(6, 2))
-        rotated, rotation = varimax(loads)
-        assert np.allclose(rotated, loads @ rotation, atol=1e-12)
-        crit = _varimax_criterion(rotated)
-        # A rotation by any angle is a lower bound on the optimum; the 1e-3
-        # grid therefore cannot beat the converged criterion by more than tol.
-        grid = max(
-            _varimax_criterion(loads @ rotation_2d(t))
-            for t in np.arange(0.0, np.pi / 2, 1e-3)
-        )
-        assert crit >= grid - 1e-6
-        assert abs(crit - grid) <= 1e-5
-
-
-def test_varimax_never_decreases_criterion():
-    rng = np.random.default_rng(47)
-    for cols in (2, 3, 4):
-        loads = rng.normal(size=(12, cols))
-        rotated, rotation = varimax(loads)
-        assert _varimax_criterion(rotated) >= _varimax_criterion(loads) - 1e-12
-        assert np.abs(rotation.T @ rotation - np.eye(cols)).max() <= 1e-8
-
-
-def test_varimax_preserves_column_space():
-    rng = np.random.default_rng(53)
-    loads = rng.normal(size=(10, 3))
-    rotated, _ = varimax(loads)
-    before, _ = np.linalg.qr(loads)
-    after, _ = np.linalg.qr(rotated)
-    assert subspace_distance(before, after) <= 1e-8
-
-
-def test_varimax_rejects_zero_matrix():
-    with pytest.raises(InvalidData):
-        varimax(np.zeros((4, 2)))
 
 
 # ------------------------------------------------------- tiny scales, signs
