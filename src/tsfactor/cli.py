@@ -16,6 +16,7 @@ spectrum, 10 any other library error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -180,8 +181,26 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace, arg
     unknown = sorted(set(from_file) - (set(vars(args)) - _NOT_CONFIG))
     if unknown:
         raise InvalidConfig(f"unknown config keys for {args.command}: {', '.join(unknown)}")
-    args.subparser.set_defaults(**from_file)
+    actions = {action.dest: action for action in args.subparser._actions}
+    args.subparser.set_defaults(**{k: _config_value(actions[k], v) for k, v in from_file.items()})
     return parser.parse_args(argv)
+
+
+def _config_value(action: argparse.Action, value):
+    """``value`` as its flag would set it: a string goes through the option's
+    type and choices, a store-true option takes a bool, a number must suit the
+    type (a bool is no number), and null keeps a None default."""
+    if isinstance(value, str) and not isinstance(action.default, bool):
+        with contextlib.suppress(ValueError, argparse.ArgumentTypeError):
+            got = action.type(value) if action.type else value
+            if action.choices is None or got in action.choices:
+                return got
+    elif value is None or isinstance(value, bool):
+        if value is action.default or isinstance(value, bool) and isinstance(action.default, bool):
+            return value
+    elif isinstance(value, {int: int, _q_flag: int, float: (int, float)}.get(action.type, ())):
+        return float(value) if action.type is float else value
+    raise InvalidConfig(f"config key {action.dest!r} has an invalid value {value!r}")
 
 
 def _load_panel(args: argparse.Namespace) -> TimePanel:
@@ -244,7 +263,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     )
     scans = cfg.method == "wauto" and not isinstance(cfg.q, int)
     fit = estimate(panel, cfg, bic=_bic_config(args, panel) if scans else None)
-    os.makedirs(args.out, exist_ok=True)
     q_text = "-" if fit.q_used is None else str(fit.q_used)
     report = (
         "factor estimate\n"
@@ -254,18 +272,18 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         + _ratio_table(fit.ratios)
         + "\n"
     )
-    write_loadings_csv(os.path.join(args.out, "result.csv"), fit.A_hat, panel.names)
-    _write_factors(args.out, fit.factors)
+    _write_fit(args.out, fit, panel.names)
     _finish(args.out, report, [("command", "estimate")] + _fit_trace(fit, panel.n, panel.p))
     return 0
 
 
-def _write_factors(out_dir: str, factors: np.ndarray) -> None:
+def _write_fit(out_dir: str, fit: FactorFit, names: tuple[str, ...]) -> None:
+    """The loadings as ``result.csv`` and the factors as ``factors.csv``."""
     os.makedirs(out_dir, exist_ok=True)
+    write_loadings_csv(os.path.join(out_dir, "result.csv"), fit.A_hat, names)
     with open(os.path.join(out_dir, "factors.csv"), "w", newline="\n") as fh:
-        r = factors.shape[1]
-        fh.write(",".join(f"f{j + 1}" for j in range(r)) + "\n")
-        for row in factors:
+        fh.write(",".join(f"f{j + 1}" for j in range(fit.r_hat)) + "\n")
+        for row in fit.factors:
             fh.write(",".join(fmt_float(v) for v in row) + "\n")
 
 
@@ -275,7 +293,6 @@ def _cmd_select_q(args: argparse.Namespace) -> int:
     cfg = EstimatorConfig(method="wauto", m=args.m, vartheta_scale=args.vartheta_scale)
     fit = estimate(panel, cfg, bic=bic)
     trace = fit.bic_trace
-    os.makedirs(args.out, exist_ok=True)
     lines = [
         "projection dimension scan",
         f"n={panel.n}  p={panel.p}  q0={bic.q0}  C={args.bic_c:.6g}",
@@ -298,8 +315,7 @@ def _cmd_select_q(args: argparse.Namespace) -> int:
     ]
     for k in range(trace.per_lag_bic.shape[0]):
         items.append((f"bic_lag{k + 1}", trace.per_lag_bic[k]))
-    write_loadings_csv(os.path.join(args.out, "result.csv"), fit.A_hat, panel.names)
-    _write_factors(args.out, fit.factors)
+    _write_fit(args.out, fit, panel.names)
     _finish(args.out, report, items)
     return 0
 
@@ -307,12 +323,7 @@ def _cmd_select_q(args: argparse.Namespace) -> int:
 def _method_configs(args: argparse.Namespace) -> tuple[EstimatorConfig, ...]:
     names = ["cov", "auto", "wauto"] if args.method == "all" else [args.method]
     return tuple(
-        EstimatorConfig(
-            method=name,
-            m=args.m,
-            q=args.q,
-            vartheta_scale=args.vartheta_scale,
-        )
+        EstimatorConfig(method=name, m=args.m, q=args.q, vartheta_scale=args.vartheta_scale)
         for name in names
     )
 

@@ -74,6 +74,7 @@ __all__ = [
 
 _METHODS = ("cov", "auto", "wauto")
 _COND_FLOOR = 1e-12
+_Q_CAP = 15  # ceiling of every default q and factor-count search
 
 
 @dataclass(frozen=True)
@@ -171,17 +172,28 @@ class FactorFit:
     bic_trace: "Optional[BicTrace]" = None
 
     def __post_init__(self):
-        r = self.A_hat.shape[1]
-        if r != self.r_hat:
-            raise InvalidData("loading column count must equal r_hat")
-        if np.abs(self.A_hat.T @ self.A_hat - np.eye(r)).max() > 1e-8:
-            raise InvalidData("estimated loadings are not orthonormal")
-        for spectrum in self.eigenvalues_per_lag:
-            lead = max(float(spectrum[0]), 0.0)
-            if spectrum.min() < -1e-10 * lead:
-                raise InvalidData("spectrum has a negative eigenvalue beyond round-off")
-            if np.any(np.diff(spectrum) > 1e-12 * max(lead, 1.0)):
-                raise InvalidData("spectrum is not sorted descending")
+        _check_fit((("A_hat", self.A_hat, self.r_hat),), self.eigenvalues_per_lag)
+
+
+def _check_fit(bases: Sequence[tuple], spectra: Sequence[np.ndarray]) -> None:
+    """Each ``(name, basis, r)`` has r orthonormal columns, and each spectrum
+    descends and is nonnegative up to round-off; every fit checks both."""
+    for name, basis, r in bases:
+        if basis.shape[1] != r:
+            raise InvalidData(f"{name} must have {r} columns, got {basis.shape[1]}")
+        if np.abs(basis.T @ basis - np.eye(r)).max() > 1e-8:
+            raise InvalidData(f"{name} is not orthonormal")
+    for spectrum in spectra:
+        lead = max(float(spectrum[0]), 0.0)
+        if spectrum.min() < -1e-10 * lead:
+            raise InvalidData("spectrum has a negative eigenvalue beyond round-off")
+        if np.any(np.diff(spectrum) > 1e-12 * max(lead, 1.0)):
+            raise InvalidData("spectrum is not sorted descending")
+
+
+def _check_lag_count(m: int, n: int) -> None:
+    if not 1 <= m < n:  # lags 1..m of n observations
+        raise InvalidConfig(f"m={m} must be in [1, n - 1] for the sample size n={n}")
 
 
 def weight_matrix(covs: LagCovSet, q: int) -> WeightMatrix:
@@ -197,14 +209,13 @@ def weight_matrix(covs: LagCovSet, q: int) -> WeightMatrix:
         If ``theta_q <= 1e-12 * theta_1``; ``q_effective`` on the error
         reports the largest q that would still be admissible.
     """
-    p = covs.p
-    if not 1 <= q <= min(p, covs.n):
-        raise InvalidConfig(f"q must be in [1, min(p, n)] = [1, {min(p, covs.n)}], got {q}")
-    return _rank_q_weight(covs.lag0, q)
+    return _rank_q_weight(covs.lag0, q, covs.n)
 
 
-def _rank_q_weight(cov0: np.ndarray, q: int, where: str = "") -> WeightMatrix:
-    """Rank-q weight of one lag-0 covariance; ``where`` names it in errors."""
+def _rank_q_weight(cov0: np.ndarray, q: int, n: int, where: str = "") -> WeightMatrix:
+    """Rank-q weight of a lag-0 covariance of n observations; ``where`` names it in errors."""
+    if not 1 <= q <= min(cov0.shape[0], n):
+        raise InvalidConfig(f"q must be in [1, min(p, n)] = [1, {min(cov0.shape[0], n)}], got {q}")
     pairs = sym_eigen(cov0, q)
     theta = pairs.values
     floor = _COND_FLOOR * max(theta[0], 0.0)
@@ -326,7 +337,7 @@ def _resolve_bounds(cfg: EstimatorConfig, available: int, n: int) -> tuple[int, 
     default = cfg.r_search_max is None
     # A demeaned covariance has rank at most n - 1, so cov's default window
     # stops at n - 2 to keep zero eigenvalues out of its unoffset ratios.
-    ceiling = {"cov": min(15, n - 2), "auto": 15}.get(cfg.method, available)
+    ceiling = {"cov": min(_Q_CAP, n - 2), "auto": _Q_CAP}.get(cfg.method, available)
     bound = min(ceiling if default else cfg.r_search_max, available)
     r_fixed = cfg.r_fixed
     if r_fixed is not None:
@@ -336,9 +347,18 @@ def _resolve_bounds(cfg: EstimatorConfig, available: int, n: int) -> tuple[int, 
             )
         if not default and r_fixed > bound:
             raise InvalidConfig(f"r_fixed={r_fixed} exceeds r_search_max={bound}")
-    elif bound < 1:
-        raise InvalidConfig("no admissible factor count to search; fix r explicitly")
     return bound, r_fixed
+
+
+def _choose_rank(ranked: np.ndarray, vartheta: float, bound: int, r_fixed: Optional[int]):
+    """The fixed rank if given, else the ratio rule's rank in 1..bound, and
+    the rule's ratios; with no admissible bound a fixed rank is required."""
+    if bound < 1:
+        if r_fixed is None:
+            raise InvalidConfig("no admissible factor count to search; fix the rank explicitly")
+        return r_fixed, np.empty(0)
+    r_sel, ratios = _ratio_argmax(ranked, vartheta, bound)
+    return (r_sel if r_fixed is None else r_fixed), ratios
 
 
 def estimate(
@@ -366,8 +386,7 @@ def estimate(
     """
     panel = demean(panel)
     n, p = panel.n, panel.p
-    if cfg.m >= n:
-        raise InvalidConfig(f"m={cfg.m} must be smaller than the sample size {n}")
+    _check_lag_count(cfg.m, n)
     if isinstance(cfg.q, int) and cfg.q > min(p, n):
         raise InvalidConfig(f"q={cfg.q} exceeds min(p, n) = {min(p, n)}")
     if cfg.method == "wauto" and isinstance(cfg.q, int) and cfg.q > n - cfg.m:
@@ -409,11 +428,7 @@ def estimate(
     ranked = spectra[0] if cfg.method == "cov" else _lag_weighted(spectra, n)
 
     bound, r_fixed = _resolve_bounds(cfg, p - 1 if w is None else w.q - 1, n)
-    if r_fixed is not None and bound < 1:
-        r, ratios = r_fixed, np.empty(0)
-    else:
-        r_sel, ratios = _ratio_argmax(ranked, vartheta, bound)
-        r = r_fixed if r_fixed is not None else r_sel
+    r, ratios = _choose_rank(ranked, vartheta, bound, r_fixed)
     if cfg.method == "cov":
         a = pairs.vectors[:, :r].copy()  # a view would pin the p-by-p eigenvectors
     else:

@@ -70,6 +70,22 @@ def _is_header(row: list[str]) -> bool:
     return False
 
 
+def _data_rows(path) -> tuple[Optional[list[str]], list[tuple[int, list[str]]]]:
+    """The header row, if the first row is one, and the numbered data rows,
+    which must all be as wide as the first."""
+    rows = _read_rows(path)
+    if not rows:
+        raise IngestError(f"{path} contains no data")
+    header = rows.pop(0)[1] if _is_header(rows[0][1]) else None
+    if not rows:
+        raise IngestError(f"{path} has a header but no data rows")
+    width = len(rows[0][1])
+    for line, row in rows:
+        if len(row) != width:
+            raise IngestError(f"line {line} has {len(row)} cells, expected {width}", row=line)
+    return header, rows
+
+
 def ingest_csv(path, demean_panel: bool = True) -> TimePanel:
     """Parse a rectangular numeric CSV into a panel, one row per time.
 
@@ -79,29 +95,19 @@ def ingest_csv(path, demean_panel: bool = True) -> TimePanel:
     offending location.  The panel is demeaned unless ``demean_panel``
     is False.
     """
-    rows = _read_rows(path)
-    if not rows:
-        raise IngestError(f"{path} contains no data")
-    names: Optional[tuple[str, ...]] = None
-    if _is_header(rows[0][1]):
-        names = tuple(cell.strip() for cell in rows[0][1])
-        rows = rows[1:]
-        if not rows:
-            raise IngestError(f"{path} has a header but no data rows")
+    header, rows = _data_rows(path)
     width = len(rows[0][1])
-    if names is None:
+    if header is None:
         names = tuple(f"v{j + 1}" for j in range(width))
-    elif len(names) != width:
+    else:
+        names = tuple(cell.strip() for cell in header)
+    if len(names) != width:
         raise IngestError(
             f"header has {len(names)} names but line {rows[0][0]} has {width} cells",
             row=rows[0][0],
         )
     data = np.empty((len(rows), width))
     for r, (line, row) in enumerate(rows):
-        if len(row) != width:
-            raise IngestError(
-                f"line {line} has {len(row)} cells, expected {width}", row=line
-            )
         for c, cell in enumerate(row):
             data[r, c] = _cell_value(cell, line, c + 1)
     panel = TimePanel(data, names=names)
@@ -115,23 +121,13 @@ def ingest_matrix_csv(path) -> MatrixPanel:
     increasing block index in the first column; every block must have
     the same shape.
     """
-    rows = _read_rows(path)
-    if not rows:
-        raise IngestError(f"{path} contains no data")
-    if _is_header(rows[0][1]):
-        rows = rows[1:]
-        if not rows:
-            raise IngestError(f"{path} has a header but no data rows")
+    _, rows = _data_rows(path)
     width = len(rows[0][1])
     if width < 2:
         raise IngestError("matrix CSV needs a block index column plus data columns")
     blocks: list[list[list[float]]] = []
     indices: list[float] = []
     for line, row in rows:
-        if len(row) != width:
-            raise IngestError(
-                f"line {line} has {len(row)} cells, expected {width}", row=line
-            )
         t = _cell_value(row[0], line, 1)
         values = [_cell_value(cell, line, c + 2) for c, cell in enumerate(row[1:])]
         if not indices or t != indices[-1]:

@@ -12,6 +12,11 @@ calibration weight built from the j-th slice's lag-0 covariance, exactly
 as in the vector estimator.  The column side is the same computation on
 the transposed observations.  With p2 = 1 everything reduces to the
 vector pipeline.
+
+A panel validates and demeans as the TimePanel of its n-by-(p1*p2)
+flattening; a default q_j is ``min(15, p_j, n - 1)``, below the rank of a
+demeaned slice covariance; the lag-count rule, the rank step and the fit
+checks are the vector estimator's own.
 """
 
 from __future__ import annotations
@@ -21,14 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    InvalidConfig,
-    InvalidData,
-    InvalidLag,
-    PreconditionViolated,
-)
-from .factor import _rank_q_weight, _ratio_argmax
-from .tsstats import sym_eigen
+from .errors import InvalidConfig, InvalidData, InvalidLag, PreconditionViolated
+from .factor import _Q_CAP, _check_fit, _check_lag_count, _choose_rank, _rank_q_weight
+from .tsstats import TimePanel, demean, sym_eigen
 
 __all__ = [
     "MatrixPanel",
@@ -41,29 +41,22 @@ __all__ = [
     "estimate_matrix",
 ]
 
-_DEFAULT_Q = 15
-
 
 @dataclass(frozen=True)
 class MatrixPanel:
-    """n observations of a p1-by-p2 matrix series, time along axis 0."""
+    """n observations of a p1-by-p2 matrix series, time along axis 0; kept
+    as a read-only copy checked as the TimePanel of its flattening."""
 
     data: np.ndarray
     demeaned: bool = False
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
-        object.__setattr__(self, "data", data)
         if data.ndim != 3:
             raise InvalidData(f"matrix panel must be 3-d (n, p1, p2), got shape {data.shape}")
-        if data.shape[0] < 2:
-            raise InvalidData("matrix panel needs at least 2 observations")
-        if data.shape[1] < 1 or data.shape[2] < 1:
-            raise InvalidData("matrix observations must be at least 1x1")
-        if not np.all(np.isfinite(data)):
-            raise InvalidData("matrix panel contains non-finite entries")
-        if self.demeaned and np.abs(data.mean(axis=0)).max() > 1e-8:
-            raise InvalidData("panel flagged demeaned but the mean matrix is not 0")
+        n, p1, p2 = data.shape
+        flat = TimePanel(data.reshape(n, p1 * p2), demeaned=self.demeaned)
+        object.__setattr__(self, "data", flat.data.reshape(data.shape))
 
     @property
     def n(self) -> int:
@@ -82,7 +75,8 @@ def demean_matrix(panel: MatrixPanel) -> MatrixPanel:
     """Subtract the full-sample mean matrix from every observation."""
     if panel.demeaned:
         return panel
-    return MatrixPanel(panel.data - panel.data.mean(axis=0), demeaned=True)
+    centered = demean(TimePanel(panel.data.reshape(panel.n, -1))).data
+    return MatrixPanel(centered.reshape(panel.data.shape), demeaned=True)
 
 
 def _transposed(panel: MatrixPanel) -> MatrixPanel:
@@ -112,6 +106,11 @@ def cross_autocov_2(panel: MatrixPanel, k: int, i: int, j: int) -> np.ndarray:
     return cross_autocov_1(_transposed(panel), k, i, j)
 
 
+def _slice_q(q: Optional[int], p: int, n: int) -> int:
+    """A given q, else the default ``min(15, p, n - 1)``."""
+    return min(_Q_CAP, p, n - 1) if q is None else q
+
+
 def m_hat_rows(panel: MatrixPanel, m: int = 2, q1: Optional[int] = None) -> np.ndarray:
     """Weight-calibrated aggregate whose top eigenvectors span the row space.
 
@@ -123,17 +122,11 @@ def m_hat_rows(panel: MatrixPanel, m: int = 2, q1: Optional[int] = None) -> np.n
     """
     panel = demean_matrix(panel)
     n, p1, p2 = panel.n, panel.p1, panel.p2
-    if q1 is None:
-        q1 = min(_DEFAULT_Q, p1, n)
-    if not 1 <= q1 <= min(p1, n):
-        raise InvalidConfig(f"q1 must be in [1, min(p1, n)] = [1, {min(p1, n)}], got {q1}")
-    if m < 1:
-        raise InvalidConfig(f"m must be >= 1, got {m}")
-    if m > n - 2:
-        raise InvalidLag(f"m must leave at least 2 usable observations, got m={m}, n={n}")
+    q1 = _slice_q(q1, p1, n)
+    _check_lag_count(m, n)
     halves = []
     for j in range(p2):
-        w = _rank_q_weight(cross_autocov_1(panel, 0, j, j), q1, f" of column slice {j}")
+        w = _rank_q_weight(cross_autocov_1(panel, 0, j, j), q1, n, f" of column slice {j}")
         halves.append(w.Q / np.sqrt(w.theta))
     out = np.zeros((p1, p1))
     flat = panel.data.reshape(n, p1 * p2)
@@ -168,17 +161,8 @@ class MatrixFactorFit:
     q2_used: int
 
     def __post_init__(self):
-        for name, basis, d in (("R_hat", self.R_hat, self.d1), ("C_hat", self.C_hat, self.d2)):
-            if basis.shape[1] != d:
-                raise InvalidData(f"{name} must have {d} columns")
-            if np.abs(basis.T @ basis - np.eye(d)).max() > 1e-8:
-                raise InvalidData(f"{name} is not orthonormal")
-        for spectrum in (self.row_spectrum, self.col_spectrum):
-            lead = max(float(spectrum[0]), 0.0)
-            if spectrum.min() < -1e-10 * max(lead, 1.0):
-                raise InvalidData("spectrum has a negative eigenvalue beyond round-off")
-            if np.any(np.diff(spectrum) > 1e-12 * max(lead, 1.0)):
-                raise InvalidData("spectrum is not sorted descending")
+        bases = (("R_hat", self.R_hat, self.d1), ("C_hat", self.C_hat, self.d2))
+        _check_fit(bases, (self.row_spectrum, self.col_spectrum))
 
 
 def estimate_matrix(
@@ -203,8 +187,7 @@ def estimate_matrix(
         raise InvalidConfig("vartheta_scale must be >= 0")
     panel = demean_matrix(panel)
     n, p1, p2 = panel.n, panel.p1, panel.p2
-    q1 = min(_DEFAULT_Q, p1, n) if q1 is None else q1
-    q2 = min(_DEFAULT_Q, p2, n) if q2 is None else q2
+    q1, q2 = _slice_q(q1, p1, n), _slice_q(q2, p2, n)
     for d, q, p, side in ((d1, q1, p1, "d1"), (d2, q2, p2, "d2")):
         if d is not None and not 1 <= d <= min(q, p):
             raise InvalidConfig(f"{side} must be in [1, min(q, p)] = [1, {min(q, p)}], got {d}")
@@ -212,14 +195,7 @@ def estimate_matrix(
     fitted = []
     for aggregate, d, q, p in zip(aggregates, (d1, d2), (q1, q2), (p1, p2)):
         pairs = sym_eigen(aggregate, p)
-        r_max = min(q, p) - 1
-        if r_max >= 1:
-            d_sel, ratios = _ratio_argmax(pairs.values, vartheta_scale * p / n, r_max)
-        elif d is None:
-            raise InvalidConfig("rank selection needs q >= 2; fix the rank explicitly")
-        else:
-            d_sel, ratios = d, np.empty(0)
-        d_hat = d_sel if d is None else d
+        d_hat, ratios = _choose_rank(pairs.values, vartheta_scale * p / n, min(q, p) - 1, d)
         # copy the leading columns so the basis does not pin all p eigenvectors
         fitted.append((pairs.vectors[:, :d_hat].copy(), d_hat, pairs.values, ratios))
     (R_hat, d1_hat, row_spectrum, row_ratios), (C_hat, d2_hat, col_spectrum, col_ratios) = fitted

@@ -24,6 +24,7 @@ from .errors import InvalidConfig
 from .factor import (
     EstimatorConfig,
     WeightMatrix,
+    _Q_CAP,
     _half_weighted,
     _lag_fit,
     estimate,
@@ -110,7 +111,7 @@ def bic_k(panel: TimePanel, k: int, q: int, r_hat: int, C: float) -> float:
 def _default_q0(n: int, p: int, m: int) -> int:
     """Default scan ceiling: 15, below min(p, n), and no more than the
     n - m rows of the lag-m regression, so every candidate q is solvable."""
-    return min(15, p - 1, n - m)
+    return min(_Q_CAP, p - 1, n - m)
 
 
 def select_q(panel: TimePanel, cfg: BicConfig, est_cfg: EstimatorConfig) -> BicTrace:

@@ -1,5 +1,6 @@
 """CSV ingestion, artifact serialization, and command-line behavior."""
 
+import json
 import shutil
 import subprocess
 import sys
@@ -36,9 +37,9 @@ def write_panel_csv(path, p=12, n=90, seed=5, header=True):
     return y
 
 
-def write_matrix_csv(path, n=60, p1=5, p2=4, seed=3):
+def write_matrix_csv(path, n=60, p1=5, p2=4, seed=3, scale=1.0):
     rng = np.random.default_rng(seed)
-    arr = rng.standard_normal((n, p1, p2))
+    arr = scale * rng.standard_normal((n, p1, p2))
     with open(path, "w") as fh:
         fh.write("t," + ",".join(f"c{j + 1}" for j in range(p2)) + "\n")
         for t in range(n):
@@ -303,6 +304,56 @@ class TestCliErrors:
         cfg.write_text("not json")
         assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("m", 2.5),
+            ("q0", [3]),
+            ("m", "abc"),
+            ("no_demean", "yes"),
+            ("no_demean", 1),
+            ("m", True),
+            ("m", None),
+            ("bic_c", False),
+            ("method", "pca"),
+            ("method", 1),
+            ("q", 2.0),
+            ("q", "many"),
+            ("vartheta_scale", {}),
+        ],
+    )
+    def test_config_value_of_the_wrong_kind_exits_5(self, tmp_path, capsys, key, value):
+        src = tmp_path / "panel.csv"
+        write_panel_csv(src, p=8, n=40)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run(["estimate", str(src), "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry, flags",
+        [
+            ({"q0": "4"}, ["--q0", "4"]),
+            ({"q0": 4}, ["--q0", "4"]),
+            ({"bic_c": 1}, ["--bic-c", "1"]),
+            ({"q0": None}, []),
+            ({"q": "3", "method": "cov"}, ["--q", "3", "--method", "cov"]),
+            ({"no_demean": False, "vartheta_scale": 0.2}, ["--vartheta-scale", "0.2"]),
+        ],
+    )
+    def test_config_values_apply_like_flags(self, tmp_path, entry, flags):
+        src = tmp_path / "panel.csv"
+        write_panel_csv(src, p=8, n=40)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+
+        def artifacts(name, *args):
+            out = tmp_path / name
+            assert run(["estimate", str(src), *args, "--out", str(out)]) == 0
+            return [(out / a).read_bytes() for a in ("report.txt", "result.csv", "trace.kv")]
+
+        assert artifacts("file", "--config", str(cfg)) == artifacts("flags", *flags)
+
 
 class TestCliSimulate:
     ARGS = [
@@ -454,6 +505,32 @@ def test_matrix_degenerate_spectrum_exits_9(tmp_path):
     args = ["matrix-estimate", str(src), "--m", "1", "--d2", "1"]
     assert run(args + ["--vartheta-scale", "0", "--out", str(tmp_path / "a")]) == 9
     assert run(args + ["--out", str(tmp_path / "b")]) == 0
+
+
+@pytest.mark.parametrize("scale", [1e9, 1e12])
+def test_matrix_estimate_fits_large_scale_data(tmp_path, scale):
+    src = tmp_path / "big.csv"
+    write_matrix_csv(src, n=60, p1=5, p2=4, scale=scale)
+    assert run(["matrix-estimate", str(src), "--d1", "1", "--d2", "1", "--out", str(tmp_path / "o")]) == 0
+
+
+def test_matrix_estimate_default_q_fits_a_short_series(tmp_path):
+    src = tmp_path / "short.csv"
+    write_matrix_csv(src, n=12, p1=20, p2=4)
+    assert run(["matrix-estimate", str(src), "--out", str(tmp_path / "o")]) == 0
+    kv = read_kv(tmp_path / "o" / "trace.kv")
+    assert (kv["q1"], kv["q2"]) == ("11", "4")
+
+
+def test_lag_count_of_n_exits_5_on_estimate_and_matrix_estimate(tmp_path):
+    panel = tmp_path / "panel.csv"
+    write_panel_csv(panel, p=6, n=10)
+    blocks = tmp_path / "blocks.csv"
+    write_matrix_csv(blocks, n=10, p1=3, p2=2)
+    assert run(["estimate", str(panel), "--method", "auto", "--m", "10", "--out", str(tmp_path / "e")]) == 5
+    assert run(["matrix-estimate", str(blocks), "--m", "10", "--out", str(tmp_path / "a")]) == 5
+    assert run(["estimate", str(panel), "--method", "auto", "--m", "9", "--out", str(tmp_path / "f")]) == 0
+    assert run(["matrix-estimate", str(blocks), "--m", "9", "--out", str(tmp_path / "b")]) == 0
 
 
 def test_q_beyond_the_lag_regression_rows_exits_5(tmp_path):

@@ -75,6 +75,24 @@ def test_panel_validation():
         MatrixPanel(shifted, demeaned=True)
 
 
+def test_panel_keeps_a_read_only_copy():
+    raw = np.random.default_rng(4).standard_normal((6, 3, 2))
+    panel = MatrixPanel(raw)
+    assert not panel.data.flags.writeable
+    raw[0, 0, 0] = 99.0
+    assert panel.data[0, 0, 0] != 99.0
+
+
+@pytest.mark.parametrize("scale", [1e9, 1e12, 1e-200])
+def test_demeaned_check_is_relative_to_the_data_scale(scale):
+    # an absolute tolerance rejected demean_matrix's own output at 1e9
+    rng = np.random.default_rng(8)
+    centered = demean_matrix(MatrixPanel(scale * (rng.standard_normal((50, 4, 3)) + 2.0)))
+    assert MatrixPanel(centered.data, demeaned=True).demeaned
+    with pytest.raises(InvalidData):
+        MatrixPanel(centered.data + 1e-6 * scale, demeaned=True)
+
+
 def test_demean_matrix_centers_and_short_circuits():
     rng = np.random.default_rng(1)
     panel = MatrixPanel(rng.standard_normal((12, 3, 2)) + 4.0)
@@ -177,8 +195,8 @@ def test_m_hat_rows_symmetric_psd_and_validated():
         m_hat_rows(panel, m=0)
     with pytest.raises(InvalidConfig):
         m_hat_rows(panel, m=2, q1=6)
-    with pytest.raises(InvalidLag):
-        m_hat_rows(MatrixPanel(rng.standard_normal((4, 3, 2))), m=3)
+    with pytest.raises(InvalidConfig):
+        m_hat_rows(MatrixPanel(rng.standard_normal((4, 3, 2))), m=4)
 
 
 def test_rank_deficient_slice_is_named():
@@ -313,6 +331,35 @@ def test_degenerate_spectrum_without_offset_raises_degenerate_spectrum():
         estimate_matrix(panel, m=1, d1=1, d2=1, vartheta_scale=0.0)
     fit = estimate_matrix(panel, m=1, d2=1)  # an offset keeps the ratio defined
     assert fit.d1 == 1 and fit.row_spectrum[1] == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e9, 1e12])
+def test_large_scale_data_fit_like_the_unscaled_data(scale):
+    panel, _, _ = planted_panel(4, n=150, p1=8, p2=6)
+    base = estimate_matrix(panel, m=2, d1=2, d2=2)
+    fit = estimate_matrix(MatrixPanel(scale * panel.data), m=2, d1=2, d2=2)
+    assert subspace_distance(fit.R_hat, base.R_hat) <= 1e-8
+    assert subspace_distance(fit.C_hat, base.C_hat) <= 1e-8
+
+
+def test_default_q_stays_below_the_slice_covariance_rank():
+    # n = 12 leaves a demeaned 20x20 slice covariance of rank 11, so the
+    # default q1 is min(15, p1, n - 1) = 11; q2 is capped by p2 = 4.
+    panel = MatrixPanel(np.random.default_rng(12).standard_normal((12, 20, 4)))
+    fit = estimate_matrix(panel)
+    assert (fit.q1_used, fit.q2_used) == (11, 4)
+    assert np.array_equal(m_hat_rows(panel), m_hat_rows(panel, q1=11))
+
+
+def test_lag_count_must_stay_below_the_sample_size():
+    panel = MatrixPanel(np.random.default_rng(6).standard_normal((10, 3, 2)))
+    for call in (
+        lambda m: estimate_matrix(panel, m=m, d1=1, d2=1),
+        lambda m: m_hat_rows(panel, m=m),
+    ):
+        with pytest.raises(InvalidConfig):
+            call(10)
+        call(9)  # the last lag has one usable pair
 
 
 def test_bases_own_their_memory():

@@ -5,6 +5,8 @@ every estimator must permute or flip the rows of its loadings and leave
 the factor count, the chosen q and the spectra unchanged.  A ``wauto``
 fit that selects q must equal the fit that fixes q at the selected value,
 bit for bit, because both run the same weight, spectra, rank and basis.
+The matrix estimator keeps the same contracts for permuted rows, and
+scaling its data by a power of two leaves fixed-rank bases bit-identical.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsfactor.factor import EstimatorConfig, estimate
+from tsfactor.matrixfactor import MatrixPanel, estimate_matrix
 from tsfactor.modelselect import BicConfig
 from tsfactor.tsstats import TimePanel
 
@@ -77,3 +80,50 @@ def test_selected_q_fit_equals_fixed_q_fit_bit_for_bit(shape, m, extra_bic_lags)
         assert np.array_equal(got, want)
     for got, want in zip(chosen.H_hat, fixed.H_hat, strict=True):
         assert np.array_equal(got, want)
+
+
+def matrix_factor_panel(seed: int, n: int, p1: int, p2: int) -> np.ndarray:
+    """2x2 AR(1) matrix factors under uniform loadings plus white noise."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((n, 2, 2))
+    for t in range(1, n):
+        x[t] = np.array([[0.8, 0.5], [0.6, 0.7]]) * x[t - 1] + rng.standard_normal((2, 2))
+    load_r = rng.uniform(-1.0, 1.0, size=(p1, 2))
+    load_c = rng.uniform(-1.0, 1.0, size=(p2, 2))
+    return np.einsum("au,tuv,bv->tab", load_r, x, load_c) + rng.standard_normal((n, p1, p2))
+
+
+matrix_shapes = st.one_of(
+    # short series: the default q_j = min(15, p_j, n - 1) is capped by n - 1
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(8, 15), st.integers(2, 20), st.integers(2, 20)),
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(40, 200), st.integers(2, 20), st.integers(2, 20)),
+)
+
+
+@settings(max_examples=20)
+@given(matrix_shapes, st.sampled_from([2.0**40, 2.0**-40]))
+def test_matrix_bases_are_bit_identical_under_power_of_two_scaling(shape, scale):
+    # The ranks are fixed: the ratio offsets are absolute, so a free rank
+    # may move with the scale.
+    y = matrix_factor_panel(*shape)
+    base = estimate_matrix(MatrixPanel(y), d1=2, d2=2)
+    fit = estimate_matrix(MatrixPanel(y * scale), d1=2, d2=2)
+    assert np.array_equal(fit.R_hat, base.R_hat)
+    assert np.array_equal(fit.C_hat, base.C_hat)
+
+
+@settings(max_examples=20)
+@given(matrix_shapes, st.data())
+def test_permuting_matrix_rows_permutes_row_loadings(shape, data):
+    y = matrix_factor_panel(*shape)
+    perm = np.array(data.draw(st.permutations(range(y.shape[1]))))
+    base = estimate_matrix(MatrixPanel(y))
+    fit = estimate_matrix(MatrixPanel(y[:, perm, :]))
+    assert (fit.d1, fit.d2, fit.q1_used, fit.q2_used) == (base.d1, base.d2, base.q1_used, base.q2_used)
+    for got, want in ((fit.row_spectrum, base.row_spectrum), (fit.col_spectrum, base.col_spectrum)):
+        assert np.abs(got - want).max() <= 1e-9 * want[0]
+    for got, want in ((fit.row_ratios, base.row_ratios), (fit.col_ratios, base.col_ratios)):
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+    for got, want in ((fit.R_hat, base.R_hat[perm]), (fit.C_hat, base.C_hat)):
+        col_signs = np.sign(np.sum(want * got, axis=0))
+        assert np.abs(got * col_signs - want).max() <= 1e-8
