@@ -54,6 +54,7 @@ from .tsstats import (
     LagCovSet,
     TimePanel,
     _fix_signs,
+    _lag0_eigen,
     demean,
     sample_autocov,
     sym_eigen,
@@ -209,15 +210,15 @@ def weight_matrix(covs: LagCovSet, q: int) -> WeightMatrix:
         If ``theta_q <= 1e-12 * theta_1``; ``q_effective`` on the error
         reports the largest q that would still be admissible.
     """
-    return _rank_q_weight(covs.lag0, q, covs.n)
+    return _rank_q_weight(sym_eigen(covs.lag0, covs.p), q, covs.n)
 
 
-def _rank_q_weight(cov0: np.ndarray, q: int, n: int, where: str = "") -> WeightMatrix:
-    """Rank-q weight of a lag-0 covariance of n observations; ``where`` names it in errors."""
-    if not 1 <= q <= min(cov0.shape[0], n):
-        raise InvalidConfig(f"q must be in [1, min(p, n)] = [1, {min(cov0.shape[0], n)}], got {q}")
-    pairs = sym_eigen(cov0, q)
-    theta = pairs.values
+def _rank_q_weight(pairs: EigenPairs, q: int, n: int, where: str = "") -> WeightMatrix:
+    """Rank-q weight from the full eigendecomposition of a lag-0 covariance
+    of n observations; ``where`` names the covariance in errors."""
+    if not 1 <= q <= min(pairs.d, n):
+        raise InvalidConfig(f"q must be in [1, min(p, n)] = [1, {min(pairs.d, n)}], got {q}")
+    theta = pairs.values[:q]
     floor = _COND_FLOOR * max(theta[0], 0.0)
     if theta[-1] <= floor:
         q_eff = int(np.sum(theta > floor))
@@ -226,7 +227,7 @@ def _rank_q_weight(cov0: np.ndarray, q: int, n: int, where: str = "") -> WeightM
             f"(theta_q={theta[-1]:.3e} vs floor {floor:.3e}); largest admissible q is {q_eff}",
             q_effective=q_eff,
         )
-    return WeightMatrix(Q=pairs.vectors, theta=theta, q=q)
+    return WeightMatrix(Q=np.ascontiguousarray(pairs.vectors[:, :q]), theta=theta, q=q)
 
 
 def m_hat(covs: LagCovSet, W: Optional[WeightMatrix] = None) -> np.ndarray:
@@ -253,19 +254,18 @@ def _half_weighted(lag: np.ndarray, W: Optional[WeightMatrix]) -> np.ndarray:
     return lag @ (W.Q / np.sqrt(W.theta))
 
 
-def per_lag_spectra(covs: LagCovSet, W: Optional[WeightMatrix] = None) -> list[EigenPairs]:
-    """Spectrum of ``Omega(k) W Omega(k)'`` for each lag k = 1..m.
+def per_lag_spectra(covs: LagCovSet, W: Optional[WeightMatrix] = None) -> list[np.ndarray]:
+    """Descending eigenvalues of ``Omega(k) W Omega(k)'`` for each lag k = 1..m.
 
     With a weight matrix the spectrum is truncated to its q possibly
     nonzero values; without one it has all p values.  Eigenvalues are
-    singular values squared, so negative round-off cannot occur.
+    singular values squared, so negative round-off cannot occur; no
+    singular vectors are computed.
     """
-    out = []
-    for lag in covs.lags:
-        b = _half_weighted(lag, W)
-        u, s, _ = np.linalg.svd(b, full_matrices=False)
-        out.append(EigenPairs(values=np.maximum(s**2, 0.0), vectors=_fix_signs(u)))
-    return out
+    return [
+        np.maximum(np.linalg.svd(_half_weighted(lag, W), compute_uv=False) ** 2, 0.0)
+        for lag in covs.lags
+    ]
 
 
 def select_r(
@@ -361,6 +361,18 @@ def _choose_rank(ranked: np.ndarray, vartheta: float, bound: int, r_fixed: Optio
     return (r_sel if r_fixed is None else r_fixed), ratios
 
 
+def _row_space(panel: TimePanel) -> tuple[Optional[np.ndarray], TimePanel]:
+    """``(V, scores)`` of a demeaned panel with p > n, from one thin QR
+    ``y' = V Z'`` kept on the panel, else ``(None, panel)``."""
+    if panel.p <= panel.n:
+        return None, panel  # never stored: the memo must not refer to its panel
+    if "row_space" not in panel._memo:
+        v, tri = np.linalg.qr(panel.data.T)
+        v.setflags(write=False)
+        panel._memo["row_space"] = (v, TimePanel(tri.T, demeaned=True))
+    return panel._memo["row_space"]
+
+
 def estimate(
     panel: TimePanel,
     cfg: EstimatorConfig,
@@ -373,8 +385,8 @@ def estimate(
     one path.  For ``wauto`` with ``q="auto"`` the projection dimension
     comes from the generalized BIC scan of :mod:`tsfactor.modelselect`,
     using ``bic`` (a :class:`~tsfactor.modelselect.BicConfig`) when
-    given and a ceiling ``q0 = min(15, p - 1, n - m)`` otherwise; scan
-    and fit share their autocovariances and weight.
+    given and a ceiling ``q0 = min(15, p - 1, n - m)`` otherwise.  Fits on
+    one panel share its memoized moments (see :class:`TimePanel`).
 
     Returns
     -------
@@ -394,43 +406,35 @@ def estimate(
             f"q={cfg.q} exceeds n - m = {n - cfg.m}, the rows of the lag-{cfg.m} regression"
         )
     y = panel.data
-    v, rows = None, panel
-    if p > n:  # y = Z V' with V'V = I: fit the n-by-n scores Z, lift back with V
-        v, tri = np.linalg.qr(y.T)
-        rows = TimePanel(tri.T, demeaned=True)
+    v, rows = _row_space(panel)
+    lag0 = None if cfg.method == "auto" else _lag0_eigen(rows)
 
     w, trace = None, None
-    if cfg.method == "wauto" and not isinstance(cfg.q, int):
-        from .modelselect import BicConfig, _default_q0, _scan
+    if cfg.method == "wauto":
+        q = cfg.q
+        if not isinstance(q, int):
+            from .modelselect import BicConfig, _default_q0, _scan
 
-        bic = bic if bic is not None else BicConfig(q0=_default_q0(n, p, cfg.m), m=cfg.m)
-        covs = sample_autocov(rows, max(cfg.m, bic.m))
-        trace, w0 = _scan(rows.data, p, covs, bic, cfg.vartheta_scale * p / n)
-        # The weight at q_hat is the leading block of the ceiling weight:
-        # sym_eigen slices one full decomposition and signs each column on
-        # its own, so this equals weight_matrix(covs, q_hat) bit for bit.
-        q = trace.q_hat
-        w = WeightMatrix(Q=np.ascontiguousarray(w0.Q[:, :q]), theta=w0.theta[:q], q=q)
-        covs = LagCovSet(lag0=covs.lag0, lags=covs.lags[: cfg.m], n=n)
-    else:
-        covs = sample_autocov(rows, 0 if cfg.method == "cov" else cfg.m)
-        if cfg.method == "wauto":
-            w = weight_matrix(covs, cfg.q)
+            bic = bic if bic is not None else BicConfig(q0=_default_q0(n, p, cfg.m), m=cfg.m)
+            covs = sample_autocov(rows, max(cfg.m, bic.m))
+            trace = _scan(rows.data, p, covs, lag0, bic, cfg.vartheta_scale * p / n)
+            q = trace.q_hat
+        w = _rank_q_weight(lag0, q, n)
 
     if cfg.method == "cov":
-        pairs = sym_eigen(covs.lag0, covs.p)
-        spectra, vartheta = (pairs.values,), 0.0
+        spectra, vartheta = (lag0.values,), 0.0
     else:
-        spectra = tuple(s.values for s in per_lag_spectra(covs, w))
+        covs = sample_autocov(rows, cfg.m)
+        spectra = tuple(per_lag_spectra(covs, w))
         vartheta = cfg.vartheta_scale * (p / n) ** 2 if w is None else cfg.vartheta_scale * p / n
-    if w is None:  # exact zeros for the p - n directions outside the row space
+    if w is None:  # exact zeros for the p - n directions outside the row space; np.pad copies
         spectra = tuple(np.pad(s, (0, p - s.size)) for s in spectra)
     ranked = spectra[0] if cfg.method == "cov" else _lag_weighted(spectra, n)
 
     bound, r_fixed = _resolve_bounds(cfg, p - 1 if w is None else w.q - 1, n)
     r, ratios = _choose_rank(ranked, vartheta, bound, r_fixed)
     if cfg.method == "cov":
-        a = pairs.vectors[:, :r].copy()  # a view would pin the p-by-p eigenvectors
+        a = lag0.vectors[:, :r].copy()  # a view would pin the p-by-p eigenvectors
     else:
         a = sym_eigen(m_hat(covs, w), r).vectors
     if v is not None:  # back to p coordinates, signed as a p-by-p fit signs them

@@ -7,11 +7,12 @@ grid, and map the factor forecasts back to the panel.  An expanding
 window driver evaluates competing estimators by mean absolute and mean
 squared forecast error against a zero-forecast baseline.
 
-ARMA fitting is conditional: residuals are computed recursively with
-zero presample values, orders are initialized by the Hannan-Rissanen
-two-stage regression, and coefficients are refined by minimizing the
-conditional sum of squares.  Everything here is deterministic; no
-random numbers are drawn.
+ARMA fitting minimizes the conditional sum of squares with zero
+presample values.  A pure AR order makes it linear, solved in closed
+form on the zero-padded lag design; an order with an MA part starts from
+the Hannan-Rissanen two-stage regression and is refined by
+Levenberg-Marquardt.  Everything here is deterministic; no random
+numbers are drawn.
 """
 
 from __future__ import annotations
@@ -110,6 +111,15 @@ def _hannan_rissanen_start(z: np.ndarray, p: int, q: int) -> np.ndarray:
     return np.clip(x0, -0.99, 0.99)
 
 
+def _ar_css(z: np.ndarray, p: int) -> np.ndarray:
+    """AR(p) coefficients minimizing the zero-presample conditional sum of
+    squares: the least-squares fit of z on its lags, zero-padded at the start."""
+    design = np.zeros((z.size, p))
+    for k in range(1, p + 1):
+        design[k:, k - 1] = z[:-k]
+    return np.linalg.lstsq(design, z, rcond=None)[0]
+
+
 def _has_common_root(ar: np.ndarray, ma: np.ndarray, tol: float = 0.12) -> bool:
     """Near-cancelling AR/MA factors mean the model is overparameterized.
 
@@ -128,12 +138,13 @@ def _has_common_root(ar: np.ndarray, ma: np.ndarray, tol: float = 0.12) -> bool:
 def fit_arma(series, max_ar: int = 3, max_ma: int = 3) -> ArmaFit:
     """Select and fit an ARMA model by AIC over a bounded order grid.
 
-    Every order pair up to ``(max_ar, max_ma)`` is initialized by the
-    Hannan-Rissanen regressions and refined by conditional least
-    squares.  A candidate is discarded when its roots are unstable, an
-    AR root nearly cancels an MA root, its highest-lag coefficient is
-    within three standard errors (``3/sqrt(n)``) of zero — the nested
-    model is always on the grid — or its residual variance is
+    Every order pair up to ``(max_ar, max_ma)`` is fitted by conditional
+    least squares: a pure AR order in closed form, an order with an MA
+    part from the Hannan-Rissanen regressions refined by
+    Levenberg-Marquardt.  A candidate is discarded when its roots are
+    unstable, an AR root nearly cancels an MA root, its highest-lag
+    coefficient is within three standard errors (``3/sqrt(n)``) of zero —
+    the nested model is always on the grid — or its residual variance is
     degenerate.  The winner minimizes ``n*log(sigma2) + 2*(p + q + 1)``;
     ties keep the earlier (smaller) order.  If no candidate survives (a
     constant series, for example), the mean-only model is returned with
@@ -157,14 +168,13 @@ def fit_arma(series, max_ar: int = 3, max_ma: int = 3) -> ArmaFit:
                 ar = np.empty(0)
                 ma = np.empty(0)
             else:
-                x0 = _hannan_rissanen_start(z, p, q)
-                sol = least_squares(
+                x = _ar_css(z, p) if q == 0 else least_squares(
                     lambda v: _css_residuals(z, v[:p], v[p:]),
-                    x0,
+                    _hannan_rissanen_start(z, p, q),
                     method="lm",
                     max_nfev=300,
-                )
-                ar, ma = sol.x[:p], sol.x[p:]
+                ).x
+                ar, ma = x[:p], x[p:]
                 if not (
                     _roots_outside_unit_circle(ar)
                     and _roots_outside_unit_circle(ma)

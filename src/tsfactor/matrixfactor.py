@@ -92,8 +92,8 @@ def cross_autocov_1(panel: MatrixPanel, k: int, i: int, j: int) -> np.ndarray:
     if not panel.demeaned:
         raise PreconditionViolated("cross-autocovariances need a demeaned panel")
     n = panel.n
-    if not 0 <= k <= n - 2:
-        raise InvalidLag(f"lag must be in [0, n-2] = [0, {n - 2}], got {k}")
+    if not 0 <= k <= n - 1:
+        raise InvalidLag(f"lag must be in [0, n-1] = [0, {n - 1}], got {k}")
     if not (0 <= i < panel.p2 and 0 <= j < panel.p2):
         raise InvalidData(f"column indices must be in [0, {panel.p2 - 1}], got {(i, j)}")
     lead = panel.data[k:, :, i]
@@ -126,7 +126,8 @@ def m_hat_rows(panel: MatrixPanel, m: int = 2, q1: Optional[int] = None) -> np.n
     _check_lag_count(m, n)
     halves = []
     for j in range(p2):
-        w = _rank_q_weight(cross_autocov_1(panel, 0, j, j), q1, n, f" of column slice {j}")
+        cov0 = cross_autocov_1(panel, 0, j, j)
+        w = _rank_q_weight(sym_eigen(cov0, p1), q1, n, f" of column slice {j}")
         halves.append(w.Q / np.sqrt(w.theta))
     out = np.zeros((p1, p1))
     flat = panel.data.reshape(n, p1 * p2)

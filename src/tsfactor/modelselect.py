@@ -23,16 +23,15 @@ import numpy as np
 from .errors import InvalidConfig
 from .factor import (
     EstimatorConfig,
-    WeightMatrix,
     _Q_CAP,
     _half_weighted,
     _lag_fit,
+    _rank_q_weight,
     estimate,
     rrr_solution,
     select_r,
-    weight_matrix,
 )
-from .tsstats import LagCovSet, TimePanel
+from .tsstats import EigenPairs, LagCovSet, TimePanel
 
 __all__ = ["BicConfig", "BicTrace", "bic_k", "select_q"]
 
@@ -131,18 +130,18 @@ def select_q(panel: TimePanel, cfg: BicConfig, est_cfg: EstimatorConfig) -> BicT
 
 
 def _scan(
-    y: np.ndarray, p: int, covs: LagCovSet, cfg: BicConfig, vartheta: float
-) -> tuple[BicTrace, WeightMatrix]:
+    y: np.ndarray, p: int, covs: LagCovSet, lag0: EigenPairs, cfg: BicConfig, vartheta: float
+) -> BicTrace:
     """The q scan behind :func:`select_q`, run by :func:`~tsfactor.factor.estimate`
-    on a demeaned panel ``y`` with at least ``cfg.m`` lags in ``covs``;
-    also returns the rank-q0 weight the scan built.  ``p`` counts the
-    series, which ``y`` holds in row-space coordinates when p > n."""
+    on a demeaned panel ``y`` with at least ``cfg.m`` lags in ``covs`` and
+    the full eigendecomposition ``lag0`` of ``covs.lag0``.  ``p`` counts
+    the series, which ``y`` holds in row-space coordinates when p > n."""
     n = y.shape[0]
     if cfg.q0 > min(p, n) - 1:
         raise InvalidConfig(
             f"q0={cfg.q0} must be at most min(p, n) - 1 = {min(p, n) - 1}"
         )
-    w0 = weight_matrix(covs, cfg.q0)
+    w0 = _rank_q_weight(lag0, cfg.q0, n)
     lags = range(1, cfg.m + 1)
     # Per-lag half-products B_k with B_k B_k' = Omega(k) W Omega(k)'.  The
     # candidate-q objects are leading-column slices of the q0 ones because
@@ -176,7 +175,7 @@ def _scan(
             per_lag_bic[k - 1, i] = _bic_value(p, n, L, d, cfg.C)
     totals = per_lag_bic.sum(axis=0)
     q_hat = candidates[int(np.argmin(totals))]
-    trace = BicTrace(
+    return BicTrace(
         candidates=candidates,
         per_lag_bic=per_lag_bic,
         totals=totals,
@@ -186,4 +185,3 @@ def _scan(
         per_lag_d=per_lag_d,
         r_hat_per_candidate=tuple(r_hats),
     )
-    return trace, w0

@@ -17,7 +17,7 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,11 +55,16 @@ class TimePanel:
         Column labels; defaults to ``v1 .. vp``.
     demeaned : bool
         True once column means have been removed (see :func:`demean`).
+
+    A panel memoizes the moments its fits share: its demeaned copy, lag
+    products, lag-0 eigendecomposition and ``estimate``'s row-space QR.
+    Memo arrays are read-only; the memo never refers back to its panel.
     """
 
     data: np.ndarray
     names: tuple[str, ...] | None = None
     demeaned: bool = False
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = _as_float_matrix(self.data, "panel data")
@@ -146,13 +151,16 @@ class EigenPairs:
 def demean(panel: TimePanel) -> TimePanel:
     """Remove the full-sample mean from every column.
 
-    Idempotent: demeaning an already demeaned panel returns an equal
-    panel.  Uses each column's mean over all ``n`` rows.
+    Idempotent: demeaning an already demeaned panel returns that panel.
+    Uses each column's mean over all ``n`` rows; the demeaned panel is
+    built once per source panel.
     """
     if panel.demeaned:
         return panel
-    centered = panel.data - panel.data.mean(axis=0)
-    return TimePanel(centered, names=panel.names, demeaned=True)
+    if "demeaned" not in panel._memo:
+        centered = panel.data - panel.data.mean(axis=0)
+        panel._memo["demeaned"] = TimePanel(centered, names=panel.names, demeaned=True)
+    return panel._memo["demeaned"]
 
 
 def sample_autocov(panel: TimePanel, m: int) -> LagCovSet:
@@ -160,7 +168,8 @@ def sample_autocov(panel: TimePanel, m: int) -> LagCovSet:
 
     The lag-0 matrix is ``Y'Y / n`` (symmetrized); for ``k >= 1`` the
     lag-``k`` matrix averages ``y_t y_{t-k}'`` over the ``n - k``
-    available pairs, i.e. divides by ``n - k``.
+    available pairs, i.e. divides by ``n - k``.  Each lag product is
+    computed once per panel and kept read-only.
 
     Parameters
     ----------
@@ -181,12 +190,26 @@ def sample_autocov(panel: TimePanel, m: int) -> LagCovSet:
     if m >= n:
         raise InvalidLag(f"lag count {m} must be smaller than the sample size {n}")
     y = panel.data
-    lag0 = y.T @ y / n
-    lag0 = 0.5 * (lag0 + lag0.T)
-    lags = []
-    for k in range(1, m + 1):
-        lags.append(y[k:].T @ y[:-k] / (n - k))
-    return LagCovSet(lag0=lag0, lags=tuple(lags), n=n)
+    products = panel._memo.setdefault("lags", {})  # lag k -> its product
+    for k in range(m + 1):
+        if k not in products:
+            lag = y[k:].T @ y[: n - k] / (n - k)
+            lag = 0.5 * (lag + lag.T) if k == 0 else lag
+            lag.setflags(write=False)
+            products[k] = lag
+    return LagCovSet(lag0=products[0], lags=tuple(products[k] for k in range(1, m + 1)), n=n)
+
+
+def _lag0_eigen(panel: TimePanel) -> EigenPairs:
+    """Full ``sym_eigen`` of a demeaned panel's lag-0 covariance, computed
+    once per panel and kept read-only; its leading slices equal
+    ``sym_eigen(lag0, d)`` bit for bit, since columns are signed one by one."""
+    if "lag0_eigen" not in panel._memo:
+        pairs = sym_eigen(sample_autocov(panel, 0).lag0, panel.p)
+        pairs.values.setflags(write=False)
+        pairs.vectors.setflags(write=False)
+        panel._memo["lag0_eigen"] = pairs
+    return panel._memo["lag0_eigen"]
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:

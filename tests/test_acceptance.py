@@ -297,8 +297,8 @@ def test_accept_offset_ratio_sharpens_strong_weak_contrast():
             spec, np.random.default_rng(np.random.SeedSequence((41, rep)))
         )
         covs = sample_autocov(demean(panel), 1)
-        lam = per_lag_spectra(covs, weight_matrix(covs, 15))[0].values
-        mu = per_lag_spectra(covs, None)[0].values
+        lam = per_lag_spectra(covs, weight_matrix(covs, 15))[0]
+        mu = per_lag_spectra(covs, None)[0]
         calibrated = ((lam[2] + offset) / (lam[3] + offset)) / (
             (lam[5] + offset) / (lam[6] + offset)
         )

@@ -124,14 +124,14 @@ def test_m_hat_matches_per_lag_sum():
 def test_per_lag_spectra_zero_lag():
     covs = covset(np.eye(3), [np.zeros((3, 3))])
     spectra = per_lag_spectra(covs, None)
-    assert np.abs(spectra[0].values).max() == 0.0
+    assert np.abs(spectra[0]).max() == 0.0
 
 
 def test_per_lag_spectra_rank_one():
     u = np.array([1.0, 2.0, 0.0])
     v = np.array([0.0, 3.0, 4.0])
     covs = covset(np.eye(3), [np.outer(u, v)])
-    vals = per_lag_spectra(covs, None)[0].values
+    vals = per_lag_spectra(covs, None)[0]
     assert vals[0] == pytest.approx((u @ u) * (v @ v), rel=1e-12)
     assert np.abs(vals[1:]).max() <= 1e-12 * vals[0]
 
@@ -141,7 +141,7 @@ def test_per_lag_spectra_similarity_oracle():
     root = rng.normal(size=(4, 4))
     covs = covset(root @ root.T + np.eye(4), [rng.normal(size=(4, 4))])
     w = weight_matrix(covs, 4)
-    got = per_lag_spectra(covs, w)[0].values
+    got = per_lag_spectra(covs, w)[0]
     # nonzero eigenvalues agree with those of W^(1/2) Omega' Omega W^(1/2)
     half = (w.Q / np.sqrt(w.theta)) @ w.Q.T
     sym = half @ covs.lags[0].T @ covs.lags[0] @ half

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import tsfactor.forecast
 from tsfactor.errors import InvalidConfig, InvalidData, PreconditionViolated
 from tsfactor.factor import EstimatorConfig, estimate
 from tsfactor.forecast import (
@@ -62,6 +63,30 @@ def test_ar1_coefficient_matches_yule_walker_oracle():
         yule_walker = float(xc[:-1] @ xc[1:] / (xc @ xc))
         assert fit.ar_coeffs[0] == pytest.approx(yule_walker, abs=0.02)
         assert fit.ar_coeffs[0] == pytest.approx(0.8, abs=0.05)
+
+
+def test_pure_ar_orders_are_fitted_in_closed_form(monkeypatch):
+    def no_iterations(*args, **kwargs):
+        raise AssertionError("an AR-only grid must not call least_squares")
+
+    monkeypatch.setattr(tsfactor.forecast, "least_squares", no_iterations)
+    for s, phi in enumerate(([0.5, 0.3], [0.8], [1.2, -0.5, 0.2])):
+        rng = np.random.default_rng(70 + s)
+        x = np.zeros(600)
+        e = rng.standard_normal(600)
+        for t in range(600):
+            x[t] = e[t] + sum(c * x[t - i] for i, c in enumerate(phi, start=1) if t >= i)
+        fit = fit_arma(x + 3.0, max_ar=3, max_ma=0)
+        order = fit.order[0]
+        assert order == len(phi)
+        # zero-presample conditional least squares: regress z_t on z_{t-1..t-order}, z_{<0} = 0
+        z = x + 3.0 - np.mean(x + 3.0)
+        design = np.zeros((z.size, order))
+        for k in range(1, order + 1):
+            design[k:, k - 1] = z[:-k]
+        oracle = np.linalg.lstsq(design, z, rcond=None)[0]
+        assert np.abs(np.array(fit.ar_coeffs) - oracle).max() <= 1e-12
+        assert fit.innovation_variance == pytest.approx(np.mean((z - design @ oracle) ** 2), rel=1e-10)
 
 
 def test_ar1_full_grid_usually_recovers_the_coefficient():

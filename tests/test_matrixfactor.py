@@ -131,9 +131,20 @@ def test_cross_autocov_validates_state_and_indices():
     with pytest.raises(InvalidData):
         cross_autocov_2(panel, 1, 3, 0)
     with pytest.raises(InvalidLag):
-        cross_autocov_1(panel, 9, 0, 0)
+        cross_autocov_1(panel, 10, 0, 0)
     with pytest.raises(InvalidLag):
         cross_autocov_1(panel, -1, 0, 0)
+
+
+def test_cross_autocov_accepts_the_last_lag_the_aggregate_uses():
+    # m_hat_rows aggregates lags up to n - 1, so a single cross-covariance
+    # must accept that lag too: one pair of observations, divided by 1.
+    rng = np.random.default_rng(2)
+    panel = demean_matrix(MatrixPanel(rng.standard_normal((10, 3, 2))))
+    m_hat_rows(panel, m=9)
+    got = cross_autocov_1(panel, 9, 0, 1)
+    assert np.array_equal(got, np.outer(panel.data[9, :, 0], panel.data[0, :, 1]))
+    assert cross_autocov_2(panel, 9, 2, 0).shape == (2, 2)
 
 
 def test_zero_panel_gives_zero_covariance():

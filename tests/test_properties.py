@@ -5,18 +5,24 @@ every estimator must permute or flip the rows of its loadings and leave
 the factor count, the chosen q and the spectra unchanged.  A ``wauto``
 fit that selects q must equal the fit that fixes q at the selected value,
 bit for bit, because both run the same weight, spectra, rank and basis.
+Fits that share one panel's memoized moments equal fits on fresh
+panels bit for bit, whatever the order, and the memo stays read-only.
 The matrix estimator keeps the same contracts for permuted rows, and
 scaling its data by a power of two leaves fixed-rank bases bit-identical.
 """
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsfactor.errors import TsfactorError
 from tsfactor.factor import EstimatorConfig, estimate
 from tsfactor.matrixfactor import MatrixPanel, estimate_matrix
 from tsfactor.modelselect import BicConfig
-from tsfactor.tsstats import TimePanel
+from tsfactor.tsstats import EigenPairs, TimePanel, demean, sample_autocov
 
 CONFIGS = (
     EstimatorConfig(method="cov"),
@@ -80,6 +86,61 @@ def test_selected_q_fit_equals_fixed_q_fit_bit_for_bit(shape, m, extra_bic_lags)
         assert np.array_equal(got, want)
     for got, want in zip(chosen.H_hat, fixed.H_hat, strict=True):
         assert np.array_equal(got, want)
+
+
+def fit_record(panel: TimePanel, cfg: EstimatorConfig) -> list:
+    """Every array a fit returns, or the class of the error it raised."""
+    try:
+        fit = estimate(panel, cfg)
+    except TsfactorError as err:
+        return [type(err).__name__]
+    arrays = [fit.A_hat, fit.factors, fit.ratios, *fit.eigenvalues_per_lag, *(fit.H_hat or ())]
+    trace = fit.bic_trace
+    if trace is not None:
+        arrays += [np.array(trace.candidates), trace.per_lag_bic, trace.totals, trace.per_lag_L,
+                   trace.per_lag_d, np.array(trace.r_hat_per_candidate)]
+    return [fit.r_hat, fit.q_used, *arrays]
+
+
+def memo_arrays(memo: dict) -> list:
+    """The arrays a panel's memo holds, through nested panels and eigenpairs."""
+    out = []
+    for value in memo.values():
+        items = value.values() if isinstance(value, dict) else (
+            value if isinstance(value, tuple) else (value,))
+        for item in items:
+            if isinstance(item, TimePanel):
+                out += [item.data] + memo_arrays(item._memo)
+            elif isinstance(item, EigenPairs):
+                out += [item.values, item.vectors]
+            else:
+                out.append(item)
+    return out
+
+
+@settings(max_examples=10)
+@given(panels, st.integers(1, 3))
+def test_fits_sharing_one_panel_equal_fits_on_fresh_panels(shape, m):
+    seed, n, p = shape
+    y = factor_panel(seed, n, p)
+    configs = (
+        EstimatorConfig(method="cov"),
+        EstimatorConfig(method="auto", m=m),
+        EstimatorConfig(method="wauto", m=m, q="auto"),
+        EstimatorConfig(method="wauto", m=2, q=6),
+    )
+    fresh = [fit_record(TimePanel(y), cfg) for cfg in configs]
+    for order in itertools.permutations(range(len(configs))):
+        shared = TimePanel(y)
+        for i in order:
+            got = fit_record(shared, configs[i])
+            assert len(got) == len(fresh[i])
+            for a, b in zip(got, fresh[i]):
+                assert np.array_equal(a, b)
+        held = memo_arrays(shared._memo)
+        assert held and not any(arr.flags.writeable for arr in held)
+    with pytest.raises(ValueError):  # an edit cannot reach a later fit
+        sample_autocov(demean(shared), 1).lags[0][0, 0] = 1.0
 
 
 def matrix_factor_panel(seed: int, n: int, p1: int, p2: int) -> np.ndarray:

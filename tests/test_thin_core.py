@@ -7,7 +7,9 @@ aggregate, and solves ``H_hat`` by ``lstsq``.  The two must agree to
 round-off, with identical ranks, q and shapes.
 """
 
+import gc
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -40,13 +42,13 @@ def dense_fit(y: np.ndarray, cfg: EstimatorConfig) -> dict:
         q = cfg.q
         if not isinstance(q, int):
             bic = BicConfig(q0=_default_q0(n, p, cfg.m), m=cfg.m)
-            q = _scan(yc, p, covs, bic, cfg.vartheta_scale * p / n)[0].q_hat
+            q = _scan(yc, p, covs, sym_eigen(covs.lag0, p), bic, cfg.vartheta_scale * p / n).q_hat
         w = weight_matrix(covs, q)
     if cfg.method == "cov":
         pairs = sym_eigen(covs.lag0, p)
         spectra, ranked, vartheta = (pairs.values,), pairs.values, 0.0
     else:
-        spectra = tuple(s.values for s in per_lag_spectra(covs, w))
+        spectra = tuple(per_lag_spectra(covs, w))
         ranked = _lag_weighted(spectra, n)
         vartheta = cfg.vartheta_scale * (p / n) ** (2 if w is None else 1)
     bound, r_fixed = _resolve_bounds(cfg, p - 1 if w is None else q - 1, n)
@@ -141,15 +143,30 @@ def test_thin_fit_matches_the_dense_route(name, config):
             assert relative_gap(got, dense) <= 1e-9
 
 
-def record_core_calls(monkeypatch) -> list:
-    """Record the argument shape of every ``sample_autocov`` and ``sym_eigen``
-    call, through each ``tsfactor`` module's binding of them."""
-    seen = []
+class CoreCalls(list):
+    """``(name, argument shape)`` of each ``sample_autocov`` and ``sym_eigen``
+    call, with counts of thin QRs and of ``sym_eigen`` calls on a lag-0
+    covariance that ``sample_autocov`` returned."""
+
+    qr = 0
+    lag0_eigen = 0
+
+
+def record_core_calls(monkeypatch) -> CoreCalls:
+    """Record the core calls, through each ``tsfactor`` module's binding of
+    ``sample_autocov`` and ``sym_eigen`` and through ``np.linalg.qr``."""
+    seen = CoreCalls()
+    lag0s = []
 
     def recording(name, func):
         def wrapped(first, *args, **kwargs):
             seen.append((name, np.shape(getattr(first, "data", first))))
-            return func(first, *args, **kwargs)
+            if name == "sym_eigen" and any(first is lag0 for lag0 in lag0s):
+                seen.lag0_eigen += 1
+            out = func(first, *args, **kwargs)
+            if name == "sample_autocov":
+                lag0s.append(out.lag0)
+            return out
         return wrapped
 
     for name in ("sample_autocov", "sym_eigen"):
@@ -158,6 +175,13 @@ def record_core_calls(monkeypatch) -> list:
         for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "tsfactor"]:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapped)
+    qr = np.linalg.qr
+
+    def counted_qr(*args, **kwargs):
+        seen.qr += 1
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
     return seen
 
 
@@ -183,3 +207,28 @@ def test_select_q_forms_no_p_by_p_matrix(monkeypatch, tmp_path):
     assert run(["select-q", str(src), "--q0", "10", "--out", str(tmp_path / "out")]) == 0
     assert {name for name, _ in seen} == {"sample_autocov", "sym_eigen"}
     assert max(max(shape) for _, shape in seen) == 50
+
+
+@pytest.mark.parametrize("n, p", [(50, 200), (80, 20)])
+def test_three_methods_on_one_panel_share_one_qr_and_one_lag0_eigen(monkeypatch, n, p):
+    seen = record_core_calls(monkeypatch)
+    panel = TimePanel(ar_panel(4, n, p))
+    for method in ("cov", "auto", "wauto"):
+        estimate(panel, EstimatorConfig(method=method))
+    assert seen.qr == (1 if p > n else 0)
+    assert seen.lag0_eigen == 1
+
+
+def test_a_fitted_panel_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        refs = []
+        for n, p in ((50, 200), (80, 20)):
+            panel = TimePanel(ar_panel(4, n, p))
+            for method in ("cov", "auto", "wauto"):
+                estimate(panel, EstimatorConfig(method=method))
+            refs += [weakref.ref(panel), weakref.ref(demean(panel))]
+            del panel
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
