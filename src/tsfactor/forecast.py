@@ -219,10 +219,10 @@ def fit_arma(series, max_ar: int = 3, max_ma: int = 3) -> ArmaFit:
 def forecast_arma(fit: ArmaFit, history, h: int) -> float:
     """Recursive h-step prediction with future shocks set to zero.
 
-    Residuals over the history are rebuilt with the same conditional
-    recursion used in fitting, then the ARMA difference equation is
-    iterated forward, substituting predictions for unobserved values and
-    zero for unobserved shocks.
+    When the fit has MA terms, residuals over the history are rebuilt
+    with the same conditional recursion used in fitting.  The ARMA
+    difference equation is then iterated forward, substituting
+    predictions for unobserved values and zero for unobserved shocks.
     """
     if h < 1:
         raise InvalidConfig(f"horizon must be >= 1, got {h}")
@@ -234,10 +234,9 @@ def forecast_arma(fit: ArmaFit, history, h: int) -> float:
     ar = np.asarray(fit.ar_coeffs, dtype=float)
     ma = np.asarray(fit.ma_coeffs, dtype=float)
     z = y - fit.intercept
-    eps = _css_residuals(z, ar, ma)
+    eps = _css_residuals(z, ar, ma) if ma.size else None  # only MA terms read it
     n = z.shape[0]
     zext = np.concatenate([z, np.zeros(h)])
-    epsext = np.concatenate([eps, np.zeros(h)])
     for s in range(h):
         t = n + s
         val = 0.0
@@ -246,7 +245,7 @@ def forecast_arma(fit: ArmaFit, history, h: int) -> float:
                 val += c * zext[t - i]
         for j, c in enumerate(ma, start=1):
             if 0 <= t - j < n:
-                val += c * epsext[t - j]
+                val += c * eps[t - j]
         zext[t] = val
     return float(fit.intercept + zext[n + h - 1])
 
@@ -295,7 +294,9 @@ def pipeline_forecast(
         raise InvalidConfig(f"horizon must be >= 1, got {h}")
     if not 1 <= r_hat <= panel.p:
         raise InvalidConfig(f"r_hat must be in [1, p] = [1, {panel.p}], got {r_hat}")
-    _check_standardized(panel.data)
+    if "standardized" not in panel._memo:  # one check per panel: its data are read-only
+        _check_standardized(panel.data)
+        panel._memo["standardized"] = True
     if loading_override is not None:
         a_hat = np.asarray(loading_override, dtype=float)
         if a_hat.shape != (panel.p, r_hat):

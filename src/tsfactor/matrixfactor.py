@@ -9,33 +9,34 @@ The row loading space is recovered from the aggregate
 where ``Omega_ij(k)`` is the lag-k cross-autocovariance between the
 i-th and j-th column slices of the panel and ``W_j`` is the rank-q1
 calibration weight built from the j-th slice's lag-0 covariance, exactly
-as in the vector estimator.  The column side is the same computation on
-the transposed observations.  With p2 = 1 everything reduces to the
-vector pipeline.
+as in the vector estimator.  The column side is the same computation
+with the roles of rows and columns swapped.  With p2 = 1 everything
+reduces to the vector pipeline.
 
-A panel validates and demeans as the TimePanel of its n-by-(p1*p2)
-flattening; a default q_j is ``min(15, p_j, n - 1)``, below the rank of a
-demeaned slice covariance; the lag-count rule, the rank step and the fit
-checks are the vector estimator's own.
+A panel validates, demeans and memoizes its moments as the TimePanel of
+its n-by-(p1*p2) flattening.  Both sides read that panel's lag products:
+lag k reshaped to (p1, p2, p1, p2) holds every ``Omega_ij(k)`` as its
+block ``[:, i, :, j]``, and the column side reads the same array with
+its axes swapped.  A default q_j is ``min(15, p_j, n - 1)``, below the
+rank of a demeaned slice covariance; the lag-count rule, the rank step
+and the fit checks are the vector estimator's own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidData, InvalidLag, PreconditionViolated
+from .errors import InvalidConfig, InvalidData
 from .factor import _Q_CAP, _check_fit, _check_lag_count, _choose_rank, _rank_q_weight
-from .tsstats import TimePanel, demean, sym_eigen
+from .tsstats import TimePanel, demean, sample_autocov, sym_eigen
 
 __all__ = [
     "MatrixPanel",
     "MatrixFactorFit",
     "demean_matrix",
-    "cross_autocov_1",
-    "cross_autocov_2",
     "m_hat_rows",
     "m_hat_cols",
     "estimate_matrix",
@@ -45,18 +46,24 @@ __all__ = [
 @dataclass(frozen=True)
 class MatrixPanel:
     """n observations of a p1-by-p2 matrix series, time along axis 0; kept
-    as a read-only copy checked as the TimePanel of its flattening."""
+    as the TimePanel of its flattening, of which ``data`` is a read-only
+    (n, p1, p2) view."""
 
     data: np.ndarray
     demeaned: bool = False
+    _flat: TimePanel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
         if data.ndim != 3:
             raise InvalidData(f"matrix panel must be 3-d (n, p1, p2), got shape {data.shape}")
         n, p1, p2 = data.shape
-        flat = TimePanel(data.reshape(n, p1 * p2), demeaned=self.demeaned)
-        object.__setattr__(self, "data", flat.data.reshape(data.shape))
+        self._set_flat(TimePanel(data.reshape(n, p1 * p2), demeaned=self.demeaned), data.shape)
+
+    def _set_flat(self, flat: TimePanel, shape: tuple[int, int, int]) -> None:
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "data", flat.data.reshape(shape))
+        object.__setattr__(self, "demeaned", flat.demeaned)
 
     @property
     def n(self) -> int:
@@ -75,40 +82,40 @@ def demean_matrix(panel: MatrixPanel) -> MatrixPanel:
     """Subtract the full-sample mean matrix from every observation."""
     if panel.demeaned:
         return panel
-    centered = demean(TimePanel(panel.data.reshape(panel.n, -1))).data
-    return MatrixPanel(centered.reshape(panel.data.shape), demeaned=True)
-
-
-def _transposed(panel: MatrixPanel) -> MatrixPanel:
-    return MatrixPanel(panel.data.transpose(0, 2, 1), demeaned=panel.demeaned)
-
-
-def cross_autocov_1(panel: MatrixPanel, k: int, i: int, j: int) -> np.ndarray:
-    """Lag-k cross-covariance of column slices i and j, a p1 x p1 matrix.
-
-    Computes ``(1/(n-k)) * sum_t y[t, :, i] y[t-k, :, j]'`` over the
-    demeaned panel.
-    """
-    if not panel.demeaned:
-        raise PreconditionViolated("cross-autocovariances need a demeaned panel")
-    n = panel.n
-    if not 0 <= k <= n - 1:
-        raise InvalidLag(f"lag must be in [0, n-1] = [0, {n - 1}], got {k}")
-    if not (0 <= i < panel.p2 and 0 <= j < panel.p2):
-        raise InvalidData(f"column indices must be in [0, {panel.p2 - 1}], got {(i, j)}")
-    lead = panel.data[k:, :, i]
-    lagged = panel.data[: n - k, :, j]
-    return lead.T @ lagged / (n - k)
-
-
-def cross_autocov_2(panel: MatrixPanel, k: int, i: int, j: int) -> np.ndarray:
-    """Lag-k cross-covariance of row slices i and j, a p2 x p2 matrix."""
-    return cross_autocov_1(_transposed(panel), k, i, j)
+    centered = object.__new__(MatrixPanel)  # wraps the memoized demean, unchecked and uncopied
+    centered._set_flat(demean(panel._flat), panel.data.shape)
+    return centered
 
 
 def _slice_q(q: Optional[int], p: int, n: int) -> int:
     """A given q, else the default ``min(15, p, n - 1)``."""
     return min(_Q_CAP, p, n - 1) if q is None else q
+
+
+def _flat_lags(panel: MatrixPanel, m: int) -> list[np.ndarray]:
+    """Lags 0..m of the demeaned flat panel, each reshaped to (p1, p2, p1, p2)."""
+    _check_lag_count(m, panel.n)
+    covs = sample_autocov(demean(panel._flat), m)
+    shape = (panel.p1, panel.p2) * 2
+    return [lag.reshape(shape) for lag in (covs.lag0, *covs.lags)]
+
+
+def _side_aggregate(lags: list[np.ndarray], q: int, n: int, slices: str) -> np.ndarray:
+    """``sum_k sum_ij Omega_ij(k) W_j Omega_ij(k)'`` from lags 0..m shaped
+    (p, s, p, s), whose block ``[:, i, :, j]`` is ``Omega_ij(k)``; each
+    ``W_j`` is the rank-q weight of the lag-0 block of slice j, and
+    ``slices`` names the slices in errors."""
+    p, s = lags[0].shape[:2]
+    halves = []
+    for j in range(s):
+        w = _rank_q_weight(sym_eigen(lags[0][:, j, :, j], p), q, n, f" of {slices} slice {j}")
+        halves.append(w.Q / np.sqrt(w.theta))
+    out = np.zeros((p, p))
+    for cross in lags[1:]:
+        for j in range(s):
+            stacked = cross[:, :, :, j].transpose(1, 0, 2) @ halves[j]
+            out += np.einsum("ipq,irq->pr", stacked, stacked)
+    return 0.5 * (out + out.T)
 
 
 def m_hat_rows(panel: MatrixPanel, m: int = 2, q1: Optional[int] = None) -> np.ndarray:
@@ -120,30 +127,15 @@ def m_hat_rows(panel: MatrixPanel, m: int = 2, q1: Optional[int] = None) -> np.n
     symmetrized, so its eigenvalues are real and nonnegative up to
     round-off.
     """
-    panel = demean_matrix(panel)
-    n, p1, p2 = panel.n, panel.p1, panel.p2
-    q1 = _slice_q(q1, p1, n)
-    _check_lag_count(m, n)
-    halves = []
-    for j in range(p2):
-        cov0 = cross_autocov_1(panel, 0, j, j)
-        w = _rank_q_weight(sym_eigen(cov0, p1), q1, n, f" of column slice {j}")
-        halves.append(w.Q / np.sqrt(w.theta))
-    out = np.zeros((p1, p1))
-    flat = panel.data.reshape(n, p1 * p2)
-    for k in range(1, m + 1):
-        # one big product holds every Omega_ij(k): entry block [a,i],[b,j]
-        cross = flat[k:].T @ flat[: n - k] / (n - k)
-        cross = cross.reshape(p1, p2, p1, p2)
-        for j in range(p2):
-            stacked = cross[:, :, :, j].transpose(1, 0, 2) @ halves[j]
-            out += np.einsum("ipq,irq->pr", stacked, stacked)
-    return 0.5 * (out + out.T)
+    lags = _flat_lags(panel, m)
+    return _side_aggregate(lags, _slice_q(q1, panel.p1, panel.n), panel.n, "column")
 
 
 def m_hat_cols(panel: MatrixPanel, m: int = 2, q2: Optional[int] = None) -> np.ndarray:
-    """Column-space analogue of :func:`m_hat_rows` (a p2 x p2 matrix)."""
-    return m_hat_rows(_transposed(panel), m, q2)
+    """Column-space analogue of :func:`m_hat_rows` (a p2 x p2 matrix),
+    read from the same lag products with rows and columns swapped."""
+    lags = [lag.transpose(1, 0, 3, 2) for lag in _flat_lags(panel, m)]
+    return _side_aggregate(lags, _slice_q(q2, panel.p2, panel.n), panel.n, "row")
 
 
 @dataclass(frozen=True)
@@ -186,7 +178,6 @@ def estimate_matrix(
     """
     if vartheta_scale < 0:
         raise InvalidConfig("vartheta_scale must be >= 0")
-    panel = demean_matrix(panel)
     n, p1, p2 = panel.n, panel.p1, panel.p2
     q1, q2 = _slice_q(q1, p1, n), _slice_q(q2, p2, n)
     for d, q, p, side in ((d1, q1, p1, "d1"), (d2, q2, p2, "d2")):

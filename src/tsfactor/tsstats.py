@@ -57,8 +57,9 @@ class TimePanel:
         True once column means have been removed (see :func:`demean`).
 
     A panel memoizes the moments its fits share: its demeaned copy, lag
-    products, lag-0 eigendecomposition and ``estimate``'s row-space QR.
-    Memo arrays are read-only; the memo never refers back to its panel.
+    products, lag-0 eigendecomposition and ``estimate``'s row-space QR,
+    and whether ``pipeline_forecast`` found it standardized.  Memo arrays
+    are read-only; the memo never refers back to its panel.
     """
 
     data: np.ndarray

@@ -222,6 +222,24 @@ def test_mixed_model_forecast_matches_state_recursion_oracle():
             assert got == pytest.approx(want, abs=1e-10)
 
 
+def test_only_ma_terms_rebuild_the_residuals(monkeypatch):
+    calls = []
+    residuals = tsfactor.forecast._css_residuals
+
+    def counted(z, ar, ma):
+        calls.append((ar.size, ma.size))
+        return residuals(z, ar, ma)
+
+    monkeypatch.setattr(tsfactor.forecast, "_css_residuals", counted)
+    hist = np.random.default_rng(9).standard_normal(40)
+    for ar, ma in (((0.5, -0.2), ()), ((), ()), ((0.6,), (0.4,))):
+        for h in (1, 3):
+            want = oracle_forecast(ar, ma, 0.3, hist, h)
+            got = forecast_arma(make_fit(ar=ar, ma=ma, intercept=0.3), hist, h)
+            assert got == pytest.approx(want, abs=1e-10)
+    assert calls == [(1, 1)] * 2
+
+
 def test_forecast_validates_inputs():
     fit = make_fit(ar=(0.5,))
     with pytest.raises(InvalidConfig):
@@ -293,6 +311,28 @@ def test_pipeline_validates_inputs():
     skewed = np.eye(3)[:, :2] + 0.1
     with pytest.raises(InvalidConfig):
         pipeline_forecast(panel, cfg, r_hat=2, h=1, loading_override=skewed)
+
+
+def test_each_window_is_checked_standardized_once(monkeypatch):
+    checked = []
+    check = tsfactor.forecast._check_standardized
+
+    def counted(data):
+        checked.append(data.shape)
+        check(data)
+
+    monkeypatch.setattr(tsfactor.forecast, "_check_standardized", counted)
+    rng = np.random.default_rng(31)
+    x = ar1_series(rng, 140, phi=0.8)
+    y = np.outer(x, rng.uniform(-1, 1, size=6)) + rng.standard_normal((140, 6))
+    methods = tuple(EstimatorConfig(method=m) for m in ("cov", "auto", "wauto"))
+    rep = expanding_window_eval(TimePanel(y), methods, r_hat=1, h=1, n1=130)
+    assert checked == [(origin, 6) for origin in rep.origins]
+    # a failed check is not remembered: the panel is rejected on every call
+    raw = TimePanel(y)
+    for _ in range(2):
+        with pytest.raises(PreconditionViolated):
+            pipeline_forecast(raw, methods[0], r_hat=1, h=1)
 
 
 # ------------------------------------------------------- expanding window

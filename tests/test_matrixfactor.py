@@ -8,15 +8,12 @@ from tsfactor.errors import (
     IllConditioned,
     InvalidConfig,
     InvalidData,
-    InvalidLag,
-    PreconditionViolated,
 )
 from tsfactor.factor import m_hat, weight_matrix
 from tsfactor.matrixfactor import (
     MatrixFactorFit,
     MatrixPanel,
-    cross_autocov_1,
-    cross_autocov_2,
+    _flat_lags,
     demean_matrix,
     estimate_matrix,
     m_hat_cols,
@@ -45,15 +42,21 @@ def planted_panel(seed, n=400, p1=20, p2=20, d1=2, d2=2, noise=1.0, burn=200):
     return MatrixPanel(y[burn:]), u_r, u_c
 
 
+def slice_cross_cov(data, k, i, j):
+    """Lag-k cross-covariance of column slices i and j of demeaned (n, p1, p2) data."""
+    n = data.shape[0]
+    return data[k:, :, i].T @ data[: n - k, :, j] / (n - k)
+
+
 def unweighted_row_aggregate(data, m):
-    """Plain sum_k sum_ij Omega_ij(k) Omega_ij(k)' built entry by entry."""
-    panel = demean_matrix(MatrixPanel(data))
-    p1, p2 = panel.p1, panel.p2
+    """Plain sum_k sum_ij Omega_ij(k) Omega_ij(k)' built slice pair by slice pair."""
+    centered = demean_matrix(MatrixPanel(data)).data
+    p1, p2 = centered.shape[1:]
     out = np.zeros((p1, p1))
     for k in range(1, m + 1):
         for i in range(p2):
             for j in range(p2):
-                om = cross_autocov_1(panel, k, i, j)
+                om = slice_cross_cov(centered, k, i, j)
                 out += om @ om.T
     return out
 
@@ -106,9 +109,11 @@ def test_demean_matrix_centers_and_short_circuits():
 
 
 def test_cross_autocov_matches_double_loop_oracle():
+    # block [:, i, :, j] of the flat panel's lag k, as the fit reads it
     rng = np.random.default_rng(7)
     panel = demean_matrix(MatrixPanel(rng.standard_normal((3, 2, 2))))
     n = panel.n
+    lags = _flat_lags(panel, 1)
     for k in (0, 1):
         for i in range(2):
             for j in range(2):
@@ -116,49 +121,22 @@ def test_cross_autocov_matches_double_loop_oracle():
                 for t in range(k, n):
                     want += np.outer(panel.data[t, :, i], panel.data[t - k, :, j])
                 want /= n - k
-                got = cross_autocov_1(panel, k, i, j)
+                got = lags[k][:, i, :, j]
                 assert np.abs(got - want).max() <= 1e-12
 
 
-def test_cross_autocov_validates_state_and_indices():
-    rng = np.random.default_rng(2)
-    raw = MatrixPanel(rng.standard_normal((10, 3, 2)) + 1.0)
-    with pytest.raises(PreconditionViolated):
-        cross_autocov_1(raw, 1, 0, 0)
-    panel = demean_matrix(raw)
-    with pytest.raises(InvalidData):
-        cross_autocov_1(panel, 1, 0, 2)
-    with pytest.raises(InvalidData):
-        cross_autocov_2(panel, 1, 3, 0)
-    with pytest.raises(InvalidLag):
-        cross_autocov_1(panel, 10, 0, 0)
-    with pytest.raises(InvalidLag):
-        cross_autocov_1(panel, -1, 0, 0)
-
-
-def test_cross_autocov_accepts_the_last_lag_the_aggregate_uses():
-    # m_hat_rows aggregates lags up to n - 1, so a single cross-covariance
-    # must accept that lag too: one pair of observations, divided by 1.
-    rng = np.random.default_rng(2)
-    panel = demean_matrix(MatrixPanel(rng.standard_normal((10, 3, 2))))
-    m_hat_rows(panel, m=9)
-    got = cross_autocov_1(panel, 9, 0, 1)
-    assert np.array_equal(got, np.outer(panel.data[9, :, 0], panel.data[0, :, 1]))
-    assert cross_autocov_2(panel, 9, 2, 0).shape == (2, 2)
-
-
-def test_zero_panel_gives_zero_covariance():
-    panel = MatrixPanel(np.zeros((6, 3, 2)), demeaned=True)
-    assert np.all(cross_autocov_1(panel, 1, 0, 1) == 0.0)
-
-
 def test_row_slice_covariance_is_transposed_column_slice():
+    # the column side reads the flat lags with axes swapped, which gives the
+    # transposed panel's column-slice blocks without copying the panel
     rng = np.random.default_rng(3)
     panel = demean_matrix(MatrixPanel(rng.standard_normal((20, 4, 3))))
     flipped = demean_matrix(MatrixPanel(panel.data.transpose(0, 2, 1)))
-    got = cross_autocov_2(panel, 1, 2, 0)
-    want = cross_autocov_1(flipped, 1, 2, 0)
+    got = _flat_lags(panel, 1)[1].transpose(1, 0, 3, 2)[:, 2, :, 0]
+    want = _flat_lags(flipped, 1)[1][:, 2, :, 0]
     assert np.abs(got - want).max() <= 1e-15
+    assert np.abs(got - slice_cross_cov(flipped.data, 1, 2, 0)).max() <= 1e-15
+    scale = np.abs(m_hat_cols(panel, m=2)).max()
+    assert np.abs(m_hat_cols(panel, m=2) - m_hat_rows(flipped, m=2)).max() <= 1e-12 * scale
 
 
 # ------------------------------------------------------------- aggregates
@@ -172,25 +150,25 @@ def test_single_column_panel_reduces_to_vector_pipeline():
     got = m_hat_rows(MatrixPanel(y[:, :, None]), m=2, q1=4)
     assert np.abs(want - got).max() <= 1e-10
     # the lag blocks agree as well
-    panel = demean_matrix(MatrixPanel(y[:, :, None]))
-    assert np.abs(cross_autocov_1(panel, 2, 0, 0) - covs.lags[1]).max() <= 1e-12
+    centered = demean_matrix(MatrixPanel(y[:, :, None])).data
+    assert np.abs(slice_cross_cov(centered, 2, 0, 0) - covs.lags[1]).max() <= 1e-12
 
 
 def test_m_hat_rows_matches_dense_weight_oracle():
     rng = np.random.default_rng(13)
     panel = MatrixPanel(rng.standard_normal((25, 4, 3)))
     got = m_hat_rows(panel, m=2, q1=3)
-    centered = demean_matrix(panel)
+    centered = demean_matrix(panel).data
     want = np.zeros((4, 4))
     for j in range(3):
-        s0 = cross_autocov_1(centered, 0, j, j)
+        s0 = slice_cross_cov(centered, 0, j, j)
         vals, vecs = np.linalg.eigh(s0)
         order = np.argsort(vals)[::-1][:3]
         q_cols = vecs[:, order]
         w = q_cols @ np.linalg.inv(q_cols.T @ s0 @ q_cols) @ q_cols.T
         for k in (1, 2):
             for i in range(3):
-                om = cross_autocov_1(centered, k, i, j)
+                om = slice_cross_cov(centered, k, i, j)
                 want += om @ w @ om.T
     assert np.abs(got - want).max() <= 1e-10
 
@@ -220,7 +198,32 @@ def test_rank_deficient_slice_is_named():
     assert err.value.q_effective == 0
 
 
+def test_rank_deficient_row_slice_is_named_on_the_column_side():
+    rng = np.random.default_rng(19)
+    data = rng.standard_normal((30, 4, 3))
+    data[:, 1, :] = 0.0
+    with pytest.raises(IllConditioned) as err:
+        estimate_matrix(MatrixPanel(data), m=1, q1=2, q2=2)
+    assert "row slice 1" in str(err.value)
+    assert err.value.q_effective == 0
+
+
 # ---------------------------------------------------------------- estimate
+
+
+def test_a_fit_builds_two_time_panels_and_checks_demeaning_once(monkeypatch):
+    # the flat panel and its memoized demeaned copy; both sides share them
+    data = np.random.default_rng(37).standard_normal((60, 5, 4))
+    built = []
+    post_init = TimePanel.__post_init__
+
+    def counted(self):
+        built.append(self.demeaned)
+        post_init(self)
+
+    monkeypatch.setattr(TimePanel, "__post_init__", counted)
+    estimate_matrix(MatrixPanel(data), m=2)
+    assert built == [False, True]
 
 
 def test_planted_model_recovers_both_loading_spaces():

@@ -26,6 +26,7 @@ from tsfactor.factor import (
     per_lag_spectra,
     weight_matrix,
 )
+from tsfactor.matrixfactor import MatrixPanel, estimate_matrix
 from tsfactor.modelselect import BicConfig, _default_q0, _scan, select_q
 from tsfactor.simulate import SimulationSpec, generate_two_strength
 from tsfactor.tsstats import TimePanel, demean, sample_autocov, subspace_distance, sym_eigen
@@ -232,3 +233,14 @@ def test_a_fitted_panel_is_freed_without_the_cycle_collector():
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+def test_matrix_fit_reads_only_the_flat_panels_lag_products(monkeypatch):
+    n, p1, p2 = 60, 5, 4
+    data = np.random.default_rng(8).standard_normal((n, p1, p2))
+    seen = record_core_calls(monkeypatch)
+    estimate_matrix(MatrixPanel(data), m=2)
+    autocovs = [shape for name, shape in seen if name == "sample_autocov"]
+    assert autocovs == [(n, p1 * p2)] * 2  # one per side; the second is a memo hit
+    eigens = sorted(shape for name, shape in seen if name == "sym_eigen")
+    assert eigens == sorted([(p1, p1)] * (p2 + 1) + [(p2, p2)] * (p1 + 1))
