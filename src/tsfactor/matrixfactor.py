@@ -13,12 +13,12 @@ as in the vector estimator.  The column side is the same computation
 with the roles of rows and columns swapped.  With p2 = 1 everything
 reduces to the vector pipeline.
 
-A panel validates, demeans and memoizes its moments as the TimePanel of
-its n-by-(p1*p2) flattening.  Both sides read that panel's lag products:
-lag k reshaped to (p1, p2, p1, p2) holds every ``Omega_ij(k)`` as its
-block ``[:, i, :, j]``, and the column side reads the same array with
-its axes swapped.  A default q_j is ``min(15, p_j, n - 1)``, below the
-rank of a demeaned slice covariance; the lag-count rule, the rank step
+A panel validates, demeans and memoizes as the TimePanel of its
+n-by-(p1*p2) flattening.  A side uses each lag only through
+``Omega_ij(k) Q_j theta_j^(-1/2)``: from the slice scores
+``Z_j = y_j Q_j theta_j^(-1/2)``, one product ``y[k:]' Z[:n-k] / (n - k)``
+gives it for every slice pair, so no (p1*p2)^2 array is formed.  A
+default q_j is ``min(15, p_j, n - 1)``; the lag-count rule, the rank step
 and the fit checks are the vector estimator's own.
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidData
 from .factor import _Q_CAP, _check_fit, _check_lag_count, _choose_rank, _rank_q_weight
-from .tsstats import TimePanel, demean, sample_autocov, sym_eigen
+from .tsstats import TimePanel, demean, sym_eigen
 
 __all__ = [
     "MatrixPanel",
@@ -92,29 +92,24 @@ def _slice_q(q: Optional[int], p: int, n: int) -> int:
     return min(_Q_CAP, p, n - 1) if q is None else q
 
 
-def _flat_lags(panel: MatrixPanel, m: int) -> list[np.ndarray]:
-    """Lags 0..m of the demeaned flat panel, each reshaped to (p1, p2, p1, p2)."""
-    _check_lag_count(m, panel.n)
-    covs = sample_autocov(demean(panel._flat), m)
-    shape = (panel.p1, panel.p2) * 2
-    return [lag.reshape(shape) for lag in (covs.lag0, *covs.lags)]
-
-
-def _side_aggregate(lags: list[np.ndarray], q: int, n: int, slices: str) -> np.ndarray:
-    """``sum_k sum_ij Omega_ij(k) W_j Omega_ij(k)'`` from lags 0..m shaped
-    (p, s, p, s), whose block ``[:, i, :, j]`` is ``Omega_ij(k)``; each
-    ``W_j`` is the rank-q weight of the lag-0 block of slice j, and
-    ``slices`` names the slices in errors."""
-    p, s = lags[0].shape[:2]
-    halves = []
+def _side_aggregate(y: np.ndarray, m: int, q: int, slices: str) -> np.ndarray:
+    """``sum_k sum_ij Omega_ij(k) W_j Omega_ij(k)'`` of a demeaned (n, p, s)
+    array ``y`` whose slice j is ``y[:, :, j]``; each ``W_j`` is the rank-q
+    weight of ``y_j' y_j / n``, and ``slices`` names the slices in errors."""
+    n, p, s = y.shape
+    _check_lag_count(m, n)
+    scores = []
     for j in range(s):
-        w = _rank_q_weight(sym_eigen(lags[0][:, j, :, j], p), q, n, f" of {slices} slice {j}")
-        halves.append(w.Q / np.sqrt(w.theta))
+        yj = y[:, :, j]
+        w = _rank_q_weight(sym_eigen(yj.T @ yj / n, p), q, n, f" of {slices} slice {j}")
+        scores.append(yj @ (w.Q / np.sqrt(w.theta)))
+    flat, z = y.reshape(n, p * s), np.hstack(scores)  # z is n by (s*q), slice-major
     out = np.zeros((p, p))
-    for cross in lags[1:]:
-        for j in range(s):
-            stacked = cross[:, :, :, j].transpose(1, 0, 2) @ halves[j]
-            out += np.einsum("ipq,irq->pr", stacked, stacked)
+    for k in range(1, m + 1):
+        # row (a, i), column (j, c): entry (a, c) of Omega_ij(k) Q_j theta_j^(-1/2)
+        prod = (flat[k:].T @ z[: n - k]).reshape(p, s * s * q)
+        prod /= n - k
+        out += prod @ prod.T
     return 0.5 * (out + out.T)
 
 
@@ -127,15 +122,15 @@ def m_hat_rows(panel: MatrixPanel, m: int = 2, q1: Optional[int] = None) -> np.n
     symmetrized, so its eigenvalues are real and nonnegative up to
     round-off.
     """
-    lags = _flat_lags(panel, m)
-    return _side_aggregate(lags, _slice_q(q1, panel.p1, panel.n), panel.n, "column")
+    y = demean_matrix(panel).data
+    return _side_aggregate(y, m, _slice_q(q1, panel.p1, panel.n), "column")
 
 
 def m_hat_cols(panel: MatrixPanel, m: int = 2, q2: Optional[int] = None) -> np.ndarray:
     """Column-space analogue of :func:`m_hat_rows` (a p2 x p2 matrix),
-    read from the same lag products with rows and columns swapped."""
-    lags = [lag.transpose(1, 0, 3, 2) for lag in _flat_lags(panel, m)]
-    return _side_aggregate(lags, _slice_q(q2, panel.p2, panel.n), panel.n, "row")
+    computed on the demeaned panel with rows and columns swapped."""
+    y = demean_matrix(panel).data.transpose(0, 2, 1)
+    return _side_aggregate(y, m, _slice_q(q2, panel.p2, panel.n), "row")
 
 
 @dataclass(frozen=True)

@@ -169,8 +169,9 @@ def sample_autocov(panel: TimePanel, m: int) -> LagCovSet:
 
     The lag-0 matrix is ``Y'Y / n`` (symmetrized); for ``k >= 1`` the
     lag-``k`` matrix averages ``y_t y_{t-k}'`` over the ``n - k``
-    available pairs, i.e. divides by ``n - k``.  Each lag product is
-    computed once per panel and kept read-only.
+    available pairs, i.e. divides by ``n - k``.  Each lag product and each
+    returned set is made once per panel and kept read-only; a product that
+    overflows raises ``InvalidData``.
 
     Parameters
     ----------
@@ -191,14 +192,18 @@ def sample_autocov(panel: TimePanel, m: int) -> LagCovSet:
     if m >= n:
         raise InvalidLag(f"lag count {m} must be smaller than the sample size {n}")
     y = panel.data
-    products = panel._memo.setdefault("lags", {})  # lag k -> its product
-    for k in range(m + 1):
-        if k not in products:
+    sets = panel._memo.setdefault("lagcovs", {})  # m -> its LagCovSet, checked once
+    if m not in sets:
+        products = [sets[max(sets)].lag0, *sets[max(sets)].lags] if sets else []
+        for k in range(len(products), m + 1):
             lag = y[k:].T @ y[: n - k] / (n - k)
+            if not np.isfinite(lag).all():
+                raise InvalidData(f"lag-{k} autocovariance overflows: the data are too large")
             lag = 0.5 * (lag + lag.T) if k == 0 else lag
             lag.setflags(write=False)
-            products[k] = lag
-    return LagCovSet(lag0=products[0], lags=tuple(products[k] for k in range(1, m + 1)), n=n)
+            products.append(lag)
+        sets[m] = LagCovSet(lag0=products[0], lags=tuple(products[1 : m + 1]), n=n)
+    return sets[m]
 
 
 def _lag0_eigen(panel: TimePanel) -> EigenPairs:

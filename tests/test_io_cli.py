@@ -19,6 +19,7 @@ from tsfactor.io import (
     write_loadings_csv,
     write_trace_kv,
 )
+from tsfactor.simulate import SimulationSpec, generate_two_strength
 
 
 def write_panel_csv(path, p=12, n=90, seed=5, header=True):
@@ -547,3 +548,18 @@ def test_lag_count_at_the_sample_size_exits_5_on_both_commands(tmp_path):
     for command in ("estimate", "select-q"):
         args = [command, str(src), "--m", "12", "--q0", "3", "--out", str(tmp_path / command)]
         assert run(args) == 5
+
+
+@pytest.mark.parametrize("method", ["cov", "auto", "wauto"])
+def test_data_scaled_by_1e200_exits_4_on_every_method(tmp_path, method):
+    # the lag products overflow; auto's per-lag SVD used to raise numpy's LinAlgError
+    spec = SimulationSpec(model="twostrength", n=200, p=100, r0=2, r1=2, delta1=0.5)
+    src = tmp_path / "huge.csv"
+    np.savetxt(src, 1e200 * generate_two_strength(spec, 0)[0].data, delimiter=",", fmt="%.17g")
+    assert run(["estimate", str(src), "--method", method, "--out", str(tmp_path / "o")]) == 4
+
+
+def test_matrix_estimate_exits_4_on_data_scaled_by_1e200(tmp_path):
+    src = tmp_path / "huge.csv"
+    write_matrix_csv(src, n=60, p1=5, p2=4, scale=1e200)
+    assert run(["matrix-estimate", str(src), "--out", str(tmp_path / "o")]) == 4

@@ -13,7 +13,6 @@ from tsfactor.factor import m_hat, weight_matrix
 from tsfactor.matrixfactor import (
     MatrixFactorFit,
     MatrixPanel,
-    _flat_lags,
     demean_matrix,
     estimate_matrix,
     m_hat_cols,
@@ -108,33 +107,12 @@ def test_demean_matrix_centers_and_short_circuits():
 # --------------------------------------------------------- cross-covariances
 
 
-def test_cross_autocov_matches_double_loop_oracle():
-    # block [:, i, :, j] of the flat panel's lag k, as the fit reads it
-    rng = np.random.default_rng(7)
-    panel = demean_matrix(MatrixPanel(rng.standard_normal((3, 2, 2))))
-    n = panel.n
-    lags = _flat_lags(panel, 1)
-    for k in (0, 1):
-        for i in range(2):
-            for j in range(2):
-                want = np.zeros((2, 2))
-                for t in range(k, n):
-                    want += np.outer(panel.data[t, :, i], panel.data[t - k, :, j])
-                want /= n - k
-                got = lags[k][:, i, :, j]
-                assert np.abs(got - want).max() <= 1e-12
-
-
 def test_row_slice_covariance_is_transposed_column_slice():
-    # the column side reads the flat lags with axes swapped, which gives the
-    # transposed panel's column-slice blocks without copying the panel
+    # the column side reads the panel's row slices as the transposed panel's
+    # column slices
     rng = np.random.default_rng(3)
     panel = demean_matrix(MatrixPanel(rng.standard_normal((20, 4, 3))))
     flipped = demean_matrix(MatrixPanel(panel.data.transpose(0, 2, 1)))
-    got = _flat_lags(panel, 1)[1].transpose(1, 0, 3, 2)[:, 2, :, 0]
-    want = _flat_lags(flipped, 1)[1][:, 2, :, 0]
-    assert np.abs(got - want).max() <= 1e-15
-    assert np.abs(got - slice_cross_cov(flipped.data, 1, 2, 0)).max() <= 1e-15
     scale = np.abs(m_hat_cols(panel, m=2)).max()
     assert np.abs(m_hat_cols(panel, m=2) - m_hat_rows(flipped, m=2)).max() <= 1e-12 * scale
 
@@ -154,23 +132,43 @@ def test_single_column_panel_reduces_to_vector_pipeline():
     assert np.abs(slice_cross_cov(centered, 2, 0, 0) - covs.lags[1]).max() <= 1e-12
 
 
-def test_m_hat_rows_matches_dense_weight_oracle():
-    rng = np.random.default_rng(13)
-    panel = MatrixPanel(rng.standard_normal((25, 4, 3)))
-    got = m_hat_rows(panel, m=2, q1=3)
-    centered = demean_matrix(panel).data
-    want = np.zeros((4, 4))
-    for j in range(3):
-        s0 = slice_cross_cov(centered, 0, j, j)
+def double_loop_cross_cov(data, k, i, j):
+    """:func:`slice_cross_cov` as a sum of outer products over time."""
+    n, p = data.shape[:2]
+    out = np.zeros((p, p))
+    for t in range(k, n):
+        out += np.outer(data[t, :, i], data[t - k, :, j])
+    return out / (n - k)
+
+
+def dense_weight_row_aggregate(data, m, q, cross_cov):
+    """sum_k sum_ij Omega_ij(k) W_j Omega_ij(k)' with each W_j = Q (Q' S_j Q)^-1 Q'
+    formed densely from slice j's lag-0 covariance S_j."""
+    centered = demean_matrix(MatrixPanel(data)).data
+    p1, p2 = centered.shape[1:]
+    out = np.zeros((p1, p1))
+    for j in range(p2):
+        s0 = cross_cov(centered, 0, j, j)
         vals, vecs = np.linalg.eigh(s0)
-        order = np.argsort(vals)[::-1][:3]
-        q_cols = vecs[:, order]
+        q_cols = vecs[:, np.argsort(vals)[::-1][:q]]
         w = q_cols @ np.linalg.inv(q_cols.T @ s0 @ q_cols) @ q_cols.T
-        for k in (1, 2):
-            for i in range(3):
-                om = slice_cross_cov(centered, k, i, j)
-                want += om @ w @ om.T
-    assert np.abs(got - want).max() <= 1e-10
+        for k in range(1, m + 1):
+            for i in range(p2):
+                om = cross_cov(centered, k, i, j)
+                out += om @ w @ om.T
+    return out
+
+
+def test_m_hat_rows_matches_dense_weight_oracle():
+    # both sides, against both the sliced and the per-time-step cross-covariances;
+    # the column side is the row side of the transposed panel
+    data = np.random.default_rng(13).standard_normal((25, 4, 3))
+    panel = MatrixPanel(data)
+    for cross_cov in (slice_cross_cov, double_loop_cross_cov):
+        want = dense_weight_row_aggregate(data, 2, 3, cross_cov)
+        assert np.abs(m_hat_rows(panel, m=2, q1=3) - want).max() <= 1e-10
+        want = dense_weight_row_aggregate(data.transpose(0, 2, 1), 2, 2, cross_cov)
+        assert np.abs(m_hat_cols(panel, m=2, q2=2) - want).max() <= 1e-10
 
 
 def test_m_hat_rows_symmetric_psd_and_validated():

@@ -22,7 +22,7 @@ from tsfactor.errors import TsfactorError
 from tsfactor.factor import EstimatorConfig, estimate
 from tsfactor.matrixfactor import MatrixPanel, estimate_matrix
 from tsfactor.modelselect import BicConfig
-from tsfactor.tsstats import EigenPairs, TimePanel, demean, sample_autocov
+from tsfactor.tsstats import EigenPairs, LagCovSet, TimePanel, demean, sample_autocov
 
 CONFIGS = (
     EstimatorConfig(method="cov"),
@@ -103,7 +103,8 @@ def fit_record(panel: TimePanel, cfg: EstimatorConfig) -> list:
 
 
 def memo_arrays(memo: dict) -> list:
-    """The arrays a panel's memo holds, through nested panels and eigenpairs."""
+    """The arrays a panel's memo holds, through nested panels, eigenpairs and
+    lag-covariance sets."""
     out = []
     for value in memo.values():
         items = value.values() if isinstance(value, dict) else (
@@ -113,6 +114,8 @@ def memo_arrays(memo: dict) -> list:
                 out += [item.data] + memo_arrays(item._memo)
             elif isinstance(item, EigenPairs):
                 out += [item.values, item.vectors]
+            elif isinstance(item, LagCovSet):
+                out += [item.lag0, *item.lags]
             else:
                 out.append(item)
     return out

@@ -9,6 +9,7 @@ round-off, with identical ranks, q and shapes.
 
 import gc
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -235,12 +236,21 @@ def test_a_fitted_panel_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_matrix_fit_reads_only_the_flat_panels_lag_products(monkeypatch):
+def test_matrix_fit_forms_no_flat_lag_product(monkeypatch):
+    # each side projects the slices first, so no (p1*p2)^2 lag product exists
     n, p1, p2 = 60, 5, 4
-    data = np.random.default_rng(8).standard_normal((n, p1, p2))
+    rng = np.random.default_rng(8)
     seen = record_core_calls(monkeypatch)
-    estimate_matrix(MatrixPanel(data), m=2)
-    autocovs = [shape for name, shape in seen if name == "sample_autocov"]
-    assert autocovs == [(n, p1 * p2)] * 2  # one per side; the second is a memo hit
+    estimate_matrix(MatrixPanel(rng.standard_normal((n, p1, p2))), m=2)
+    assert [name for name, _ in seen if name == "sample_autocov"] == []
     eigens = sorted(shape for name, shape in seen if name == "sym_eigen")
     assert eigens == sorted([(p1, p1)] * (p2 + 1) + [(p2, p2)] * (p1 + 1))
+    n, p1, p2 = 60, 30, 30
+    panel = MatrixPanel(rng.standard_normal((n, p1, p2)))
+    tracemalloc.start()
+    try:
+        estimate_matrix(panel, m=2, q1=3, q2=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < np.dtype(float).itemsize * (p1 * p2) ** 2

@@ -6,6 +6,7 @@ import pytest
 from tsfactor.errors import InvalidData, InvalidLag, PreconditionViolated
 from tsfactor.tsstats import (
     EigenPairs,
+    LagCovSet,
     TimePanel,
     _fix_signs,
     demean,
@@ -133,6 +134,34 @@ def test_autocov_lag_bounds():
         sample_autocov(panel, 4)
     with pytest.raises(InvalidLag):
         sample_autocov(panel, -1)
+
+
+def test_autocov_checks_each_stored_set_once(monkeypatch):
+    checked = []
+    post_init = LagCovSet.__post_init__
+
+    def counted(self):
+        checked.append(self.m)
+        post_init(self)
+
+    monkeypatch.setattr(LagCovSet, "__post_init__", counted)
+    panel = demean(TimePanel(np.random.default_rng(2).standard_normal((30, 6))))
+    first = sample_autocov(panel, 2)
+    assert sample_autocov(panel, 2) is first
+    assert checked == [2]
+    assert sample_autocov(panel, 1).lags[0] is first.lags[0]  # products are shared
+    assert checked == [2, 1]
+    with pytest.raises(InvalidData):  # a set built directly is still checked
+        LagCovSet(lag0=np.array([[1.0, 2.0], [0.0, 1.0]]), lags=(), n=5)
+
+
+def test_autocov_rejects_an_overflowing_product():
+    y = 1e200 * np.random.default_rng(6).standard_normal((20, 3))
+    panel = demean(TimePanel(y))
+    with pytest.raises(InvalidData, match="lag-0"):
+        sample_autocov(panel, 1)
+    with pytest.raises(InvalidData):  # nothing was stored
+        sample_autocov(panel, 0)
 
 
 # ----------------------------------------------------------------- eigen
