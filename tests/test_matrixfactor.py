@@ -47,6 +47,33 @@ def slice_cross_cov(data, k, i, j):
     return data[k:, :, i].T @ data[: n - k, :, j] / (n - k)
 
 
+def double_loop_cross_cov(data, k, i, j):
+    """:func:`slice_cross_cov` as a sum of outer products over time."""
+    n, p = data.shape[:2]
+    out = np.zeros((p, p))
+    for t in range(k, n):
+        out += np.outer(data[t, :, i], data[t - k, :, j])
+    return out / (n - k)
+
+
+def dense_weight_row_aggregate(data, m, q, cross_cov):
+    """sum_k sum_ij Omega_ij(k) W_j Omega_ij(k)' with each W_j = Q (Q' S_j Q)^-1 Q'
+    formed densely from slice j's lag-0 covariance S_j."""
+    centered = demean_matrix(MatrixPanel(data)).data
+    p1, p2 = centered.shape[1:]
+    out = np.zeros((p1, p1))
+    for j in range(p2):
+        s0 = cross_cov(centered, 0, j, j)
+        vals, vecs = np.linalg.eigh(s0)
+        q_cols = vecs[:, np.argsort(vals)[::-1][:q]]
+        w = q_cols @ np.linalg.inv(q_cols.T @ s0 @ q_cols) @ q_cols.T
+        for k in range(1, m + 1):
+            for i in range(p2):
+                om = cross_cov(centered, k, i, j)
+                out += om @ w @ om.T
+    return out
+
+
 def unweighted_row_aggregate(data, m):
     """Plain sum_k sum_ij Omega_ij(k) Omega_ij(k)' built slice pair by slice pair."""
     centered = demean_matrix(MatrixPanel(data)).data
@@ -107,6 +134,16 @@ def test_demean_matrix_centers_and_short_circuits():
 # --------------------------------------------------------- cross-covariances
 
 
+def test_cross_autocov_matches_double_loop_oracle():
+    # the lag blocks both sides read, each summed over time step by time step
+    data = np.random.default_rng(7).standard_normal((25, 4, 3))
+    panel = MatrixPanel(data)
+    want = dense_weight_row_aggregate(data, 2, 3, double_loop_cross_cov)
+    assert np.abs(m_hat_rows(panel, m=2, q1=3) - want).max() <= 1e-10
+    want = dense_weight_row_aggregate(data.transpose(0, 2, 1), 2, 2, double_loop_cross_cov)
+    assert np.abs(m_hat_cols(panel, m=2, q2=2) - want).max() <= 1e-10
+
+
 def test_row_slice_covariance_is_transposed_column_slice():
     # the column side reads the panel's row slices as the transposed panel's
     # column slices
@@ -132,43 +169,14 @@ def test_single_column_panel_reduces_to_vector_pipeline():
     assert np.abs(slice_cross_cov(centered, 2, 0, 0) - covs.lags[1]).max() <= 1e-12
 
 
-def double_loop_cross_cov(data, k, i, j):
-    """:func:`slice_cross_cov` as a sum of outer products over time."""
-    n, p = data.shape[:2]
-    out = np.zeros((p, p))
-    for t in range(k, n):
-        out += np.outer(data[t, :, i], data[t - k, :, j])
-    return out / (n - k)
-
-
-def dense_weight_row_aggregate(data, m, q, cross_cov):
-    """sum_k sum_ij Omega_ij(k) W_j Omega_ij(k)' with each W_j = Q (Q' S_j Q)^-1 Q'
-    formed densely from slice j's lag-0 covariance S_j."""
-    centered = demean_matrix(MatrixPanel(data)).data
-    p1, p2 = centered.shape[1:]
-    out = np.zeros((p1, p1))
-    for j in range(p2):
-        s0 = cross_cov(centered, 0, j, j)
-        vals, vecs = np.linalg.eigh(s0)
-        q_cols = vecs[:, np.argsort(vals)[::-1][:q]]
-        w = q_cols @ np.linalg.inv(q_cols.T @ s0 @ q_cols) @ q_cols.T
-        for k in range(1, m + 1):
-            for i in range(p2):
-                om = cross_cov(centered, k, i, j)
-                out += om @ w @ om.T
-    return out
-
-
 def test_m_hat_rows_matches_dense_weight_oracle():
-    # both sides, against both the sliced and the per-time-step cross-covariances;
-    # the column side is the row side of the transposed panel
+    # both sides; the column side is the row side of the transposed panel
     data = np.random.default_rng(13).standard_normal((25, 4, 3))
     panel = MatrixPanel(data)
-    for cross_cov in (slice_cross_cov, double_loop_cross_cov):
-        want = dense_weight_row_aggregate(data, 2, 3, cross_cov)
-        assert np.abs(m_hat_rows(panel, m=2, q1=3) - want).max() <= 1e-10
-        want = dense_weight_row_aggregate(data.transpose(0, 2, 1), 2, 2, cross_cov)
-        assert np.abs(m_hat_cols(panel, m=2, q2=2) - want).max() <= 1e-10
+    want = dense_weight_row_aggregate(data, 2, 3, slice_cross_cov)
+    assert np.abs(m_hat_rows(panel, m=2, q1=3) - want).max() <= 1e-10
+    want = dense_weight_row_aggregate(data.transpose(0, 2, 1), 2, 2, slice_cross_cov)
+    assert np.abs(m_hat_cols(panel, m=2, q2=2) - want).max() <= 1e-10
 
 
 def test_m_hat_rows_symmetric_psd_and_validated():
