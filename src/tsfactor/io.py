@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from typing import Iterable, Optional
 
 import numpy as np
@@ -86,6 +87,31 @@ def _data_rows(path) -> tuple[Optional[list[str]], list[tuple[int, list[str]]]]:
     return header, rows
 
 
+def _bulk_rows(path) -> Optional[tuple[Optional[list[str]], np.ndarray]]:
+    """The header row, if any, and the data rows parsed in one C-level call,
+    or None where the cell scan must run: ``np.loadtxt`` reads strtod's
+    grammar, a subset of ``float()``'s, into the same doubles, and a file
+    it rejects or warns on, or one with a non-finite value or a header
+    unlike the data in width, is left to the scan to name the bad cell."""
+    try:
+        with open(path, "rb") as fh:  # \x1c-\x1f are whitespace to numpy, not to float()
+            if any(map(fh.read().__contains__, b"\x1c\x1d\x1e\x1f")):
+                return None
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            first = next(row for row in reader if any(cell.strip() for cell in row))
+            header = first if _is_header(first) else None
+            skip = reader.line_num if header is not None else 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip)
+    except Exception:
+        return None
+    if not np.isfinite(values).all() or header is not None and len(header) != values.shape[1]:
+        return None
+    return header, values
+
+
 def ingest_csv(path, demean_panel: bool = True) -> TimePanel:
     """Parse a rectangular numeric CSV into a panel, one row per time.
 
@@ -95,23 +121,37 @@ def ingest_csv(path, demean_panel: bool = True) -> TimePanel:
     offending location.  The panel is demeaned unless ``demean_panel``
     is False.
     """
-    header, rows = _data_rows(path)
-    width = len(rows[0][1])
+    header, data = _bulk_rows(path) or (None, None)
+    if data is None:
+        header, rows = _data_rows(path)
+        width = len(rows[0][1])
+        if header is not None and len(header) != width:
+            raise IngestError(
+                f"header has {len(header)} names but line {rows[0][0]} has {width} cells",
+                row=rows[0][0],
+            )
+        data = np.empty((len(rows), width))
+        for r, (line, row) in enumerate(rows):
+            for c, cell in enumerate(row):
+                data[r, c] = _cell_value(cell, line, c + 1)
     if header is None:
-        names = tuple(f"v{j + 1}" for j in range(width))
+        names = tuple(f"v{j + 1}" for j in range(data.shape[1]))
     else:
         names = tuple(cell.strip() for cell in header)
-    if len(names) != width:
-        raise IngestError(
-            f"header has {len(names)} names but line {rows[0][0]} has {width} cells",
-            row=rows[0][0],
-        )
-    data = np.empty((len(rows), width))
-    for r, (line, row) in enumerate(rows):
-        for c, cell in enumerate(row):
-            data[r, c] = _cell_value(cell, line, c + 1)
     panel = TimePanel(data, names=names)
     return demean(panel) if demean_panel else panel
+
+
+def _bulk_blocks(values: np.ndarray) -> Optional[np.ndarray]:
+    """The (blocks, p1, p2) array of bulk-parsed matrix rows, or None when
+    the block index goes down or the blocks differ in size."""
+    n, width = values.shape
+    steps = np.diff(values[:, 0])
+    starts = np.flatnonzero(steps) + 1
+    p1 = starts[0] if len(starts) else n
+    if width < 2 or (steps < 0).any() or n % p1 or not np.array_equal(starts, np.arange(p1, n, p1)):
+        return None
+    return values[:, 1:].reshape(n // p1, p1, width - 1)
 
 
 def ingest_matrix_csv(path) -> MatrixPanel:
@@ -121,6 +161,10 @@ def ingest_matrix_csv(path) -> MatrixPanel:
     increasing block index in the first column; every block must have
     the same shape.
     """
+    bulk = _bulk_rows(path)
+    blocks = None if bulk is None else _bulk_blocks(bulk[1])
+    if blocks is not None:
+        return MatrixPanel(blocks)
     _, rows = _data_rows(path)
     width = len(rows[0][1])
     if width < 2:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidData
 from .factor import _Q_CAP, _check_fit, _check_lag_count, _choose_rank, _rank_q_weight
-from .tsstats import TimePanel, demean, sym_eigen
+from .tsstats import TimePanel, _mean_product, demean, sym_eigen
 
 __all__ = [
     "MatrixPanel",
@@ -101,7 +101,8 @@ def _side_aggregate(y: np.ndarray, m: int, q: int, slices: str) -> np.ndarray:
     scores = []
     for j in range(s):
         yj = y[:, :, j]
-        w = _rank_q_weight(sym_eigen(yj.T @ yj / n, p), q, n, f" of {slices} slice {j}")
+        cov = _mean_product(yj, yj, n, f"lag-0 covariance of {slices} slice {j}")
+        w = _rank_q_weight(sym_eigen(cov, p), q, n, f" of {slices} slice {j}")
         scores.append(yj @ (w.Q / np.sqrt(w.theta)))
     flat, z = y.reshape(n, p * s), np.hstack(scores)  # z is n by (s*q), slice-major
     out = np.zeros((p, p))

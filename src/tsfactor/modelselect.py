@@ -28,12 +28,11 @@ from .factor import (
     _lag_fit,
     _rank_q_weight,
     estimate,
-    rrr_solution,
     select_r,
 )
 from .tsstats import EigenPairs, LagCovSet, TimePanel
 
-__all__ = ["BicConfig", "BicTrace", "bic_k", "select_q"]
+__all__ = ["BicConfig", "BicTrace", "select_q"]
 
 
 @dataclass(frozen=True)
@@ -89,22 +88,6 @@ def _bic_value(p: int, n: int, L: float, d: int, C: float) -> float:
 
 def _param_count(p: int, q: int, r: int) -> int:
     return (p + q) * r - r * (r + 1) // 2
-
-
-def bic_k(panel: TimePanel, k: int, q: int, r_hat: int, C: float) -> float:
-    """BIC of the rank-``r_hat`` lag-k regression at projection size q.
-
-    An exact fit returns ``-inf`` (the scan treats that candidate as
-    unbeatable); an ill-conditioned projection propagates
-    :class:`~tsfactor.errors.IllConditioned`.
-    """
-    if r_hat >= q:
-        raise InvalidConfig(f"r_hat={r_hat} must be smaller than q={q}")
-    if C <= 0:
-        raise InvalidConfig("penalty constant C must be positive")
-    _, _, objective = rrr_solution(panel, k, q, r_hat)
-    n, p = panel.n, panel.p
-    return _bic_value(p, n, objective / (p * n), _param_count(p, q, r_hat), C)
 
 
 def _default_q0(n: int, p: int, m: int) -> int:

@@ -164,6 +164,15 @@ def demean(panel: TimePanel) -> TimePanel:
     return panel._memo["demeaned"]
 
 
+def _mean_product(a: np.ndarray, b: np.ndarray, count: int, what: str) -> np.ndarray:
+    """``a' b / count``; an overflow raises ``InvalidData`` naming ``what``, not numpy's warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = a.T @ b / count
+    if not np.isfinite(out).all():
+        raise InvalidData(f"{what} overflows: the data are too large")
+    return out
+
+
 def sample_autocov(panel: TimePanel, m: int) -> LagCovSet:
     """Sample autocovariance matrices of a demeaned panel for lags 0..m.
 
@@ -196,9 +205,7 @@ def sample_autocov(panel: TimePanel, m: int) -> LagCovSet:
     if m not in sets:
         products = [sets[max(sets)].lag0, *sets[max(sets)].lags] if sets else []
         for k in range(len(products), m + 1):
-            lag = y[k:].T @ y[: n - k] / (n - k)
-            if not np.isfinite(lag).all():
-                raise InvalidData(f"lag-{k} autocovariance overflows: the data are too large")
+            lag = _mean_product(y[k:], y[: n - k], n - k, f"lag-{k} autocovariance")
             lag = 0.5 * (lag + lag.T) if k == 0 else lag
             lag.setflags(write=False)
             products.append(lag)

@@ -4,13 +4,18 @@ import json
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tsfactor.io
 from tsfactor.cli import run
-from tsfactor.errors import IngestError
+from tsfactor.errors import IngestError, TsfactorError
 from tsfactor.io import (
     fmt_float,
     ingest_csv,
@@ -162,6 +167,142 @@ class TestIngestMatrixCsv:
         f.write_text("1\n2\n")
         with pytest.raises(IngestError, match="block index"):
             ingest_matrix_csv(f)
+
+
+# Files at the seams of the bulk parse, with what the cell-by-cell reader
+# gives for each: the fast path must give the same names and values, or the
+# same error, message, line and column.  A parsed file also says whether
+# the bulk parse must take it (True); the scan takes what it leaves.
+CSV_PARSES = [
+    pytest.param("\n\na,b\n1,2\n3,4\n", ("a", "b"), [[1, 2], [3, 4]], True, id="blank-lines-before-header"),
+    pytest.param("a,b\r\n1,2\r\n3,4\r\n", ("a", "b"), [[1, 2], [3, 4]], True, id="crlf"),
+    pytest.param("a,b\r1,2\r3,4\r", ("a", "b"), [[1, 2], [3, 4]], True, id="cr-only"),
+    pytest.param("a,b\n1,2\n   \n\t\n3,4\n", ("a", "b"), [[1, 2], [3, 4]], False, id="whitespace-only-rows"),
+    pytest.param("a,b\n1,2\n , \n3,4\n", ("a", "b"), [[1, 2], [3, 4]], False, id="space-comma-space-row"),
+    pytest.param('a,b\n"1.5",2\n3,"4"\n', ("a", "b"), [[1.5, 2], [3, 4]], False, id="quoted-cells"),
+    pytest.param("a,b\n1_0,2\n3,4\n", ("a", "b"), [[10, 2], [3, 4]], False, id="underscore"),
+    pytest.param("#a,#b\n1,2\n3,4\n", ("#a", "#b"), [[1, 2], [3, 4]], True, id="hash-header"),
+    pytest.param("x\n1\n3\n", ("x",), [[1], [3]], True, id="one-column"),
+    pytest.param("\ufeffa,b\n1,2\n3,4\n", ("\ufeffa", "b"), [[1, 2], [3, 4]], True, id="bom-header"),
+    pytest.param("\ufeff1,2\n3,4\n5,6\n", ("\ufeff1", "2"), [[3, 4], [5, 6]], True, id="bom-numeric"),
+    pytest.param(" a , b \n 1 , 2 \n3\t,\t4\n", ("a", "b"), [[1, 2], [3, 4]], True, id="padded"),
+    pytest.param("a,b\n\uff11,\u0662\n3,4\n", ("a", "b"), [[1, 2], [3, 4]], False, id="fullwidth-arabic-digits"),
+]
+CSV_ERRORS = [
+    pytest.param("a,b\n1,2\n# note,x\n3,4\n", "non-numeric cell '# note' at line 3, column 1", 3, 1, id="hash-line"),
+    pytest.param("a,b\n1,nan\n3,4\n", "non-finite cell 'nan' at line 2, column 2", 2, 2, id="nan"),
+    pytest.param("1,2\n-Infinity,4\n", "non-finite cell '-Infinity' at line 2, column 1", 2, 1, id="infinity"),
+    pytest.param("a,b\n", "{path} has a header but no data rows", None, None, id="header-only"),
+    pytest.param("a,b\n1,2\n3\n", "line 3 has 1 cells, expected 2", 3, None, id="ragged"),
+    pytest.param("a,b,c\n1,2\n3,4\n", "header has 3 names but line 2 has 2 cells", 2, None, id="wide-header"),
+    pytest.param("a,b\n1,\n3,4\n", "non-numeric cell '' at line 2, column 2", 2, 2, id="empty-cell"),
+    # numpy's parser takes \x1c-\x1f for whitespace, float() does not
+    pytest.param("a,b\n\x1c1,2\n3,4\n", "non-numeric cell '1' at line 2, column 1", 2, 1, id="separator"),
+]
+MATRIX_PARSES = [
+    pytest.param("t,c1,c2\n1,1,2\n1,3,4\n2,5,6\n2,7,8\n", id="header-row"),
+    pytest.param("1,1,2\n1.0,3,4\n2.0,5,6\n2,7,8\n", id="float-indices"),
+]
+MATRIX_ERRORS = [
+    pytest.param("t,a\n2,1.0\n1,2.0\n", "block index 1 at line 3 does not increase", 3, 1, id="decreasing"),
+    pytest.param("1,1\n1,2\n2,3\n2,4\n1,5\n1,6\n", "block index 1 at line 5 does not increase", 5, 1, id="returns"),
+    pytest.param("t,a\n1,1.0\n1,2.0\n2,3.0\n", "block 2 has 1 rows, expected 2", None, None, id="unequal"),
+    pytest.param("1,1\n2,2\n2,3\n2,4\n", "block 2 has 3 rows, expected 1", None, None, id="unequal-dividing"),
+    pytest.param("t,a\n1,1.0\nnan,2.0\n", "non-finite cell 'nan' at line 3, column 1", 3, 1, id="nan-index"),
+]
+
+
+def write_exact(path, text):
+    """Write ``text`` with its line ends and byte-order mark untouched."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+class TestIngestSeams:
+    @pytest.mark.parametrize("text, names, rows, bulk", CSV_PARSES)
+    def test_csv_parses_as_the_cell_scan_did(self, tmp_path, text, names, rows, bulk):
+        path = write_exact(tmp_path / "f.csv", text)
+        panel = ingest_csv(path, demean_panel=False)
+        assert panel.names == names
+        assert panel.data.tobytes() == np.array(rows, dtype=float).tobytes()
+        if bulk:
+            assert tsfactor.io._bulk_rows(path) is not None
+
+    @pytest.mark.parametrize("text, message, row, column", CSV_ERRORS)
+    def test_csv_errors_as_the_cell_scan_did(self, tmp_path, text, message, row, column):
+        path = write_exact(tmp_path / "f.csv", text)
+        with pytest.raises(IngestError) as info:
+            ingest_csv(path)
+        assert (str(info.value), info.value.row, info.value.column) == (
+            message.format(path=path), row, column
+        )
+
+    @pytest.mark.parametrize("text", MATRIX_PARSES)
+    def test_matrix_parses_as_the_cell_scan_did(self, tmp_path, text):
+        path = write_exact(tmp_path / "m.csv", text)
+        panel = ingest_matrix_csv(path)
+        assert panel.data.tobytes() == np.arange(1.0, 9.0).tobytes()
+        assert panel.data.shape == (2, 2, 2)
+        assert tsfactor.io._bulk_blocks(tsfactor.io._bulk_rows(path)[1]) is not None
+
+    @pytest.mark.parametrize("text, message, row, column", MATRIX_ERRORS)
+    def test_matrix_errors_as_the_cell_scan_did(self, tmp_path, text, message, row, column):
+        with pytest.raises(IngestError) as info:
+            ingest_matrix_csv(write_exact(tmp_path / "m.csv", text))
+        assert (str(info.value), info.value.row, info.value.column) == (message, row, column)
+
+
+# Cell grammar: signs, digits with underscores, a point, exponents (and
+# Fortran's d), fullwidth and Arabic-Indic digits, special words, hex,
+# empty and quoted cells, padded with ASCII or Unicode whitespace.  A file
+# is plain decimals with up to two such cells, so that many files take the
+# bulk parse and the odd cell decides whether the scan runs.
+_SIGN = st.sampled_from(["", "+", "-"])
+_PLAIN = st.builds(
+    lambda *parts: "".join(parts),
+    _SIGN, st.text("0123456789", min_size=1, max_size=3), st.sampled_from(["", ".", ".5"]),
+    st.sampled_from(["", "e3", "E-2", "e+308"]),
+)
+_DIGITS = st.text("0123456789_", max_size=4) | st.text("\uff10\uff11\uff19\u0660\u0661\u0669", max_size=3)
+_NUMBER = st.builds(
+    lambda *parts: "".join(parts),
+    _SIGN, _DIGITS, st.sampled_from(["", "."]), _DIGITS, st.sampled_from(["", "e", "E", "d"]), _SIGN, _DIGITS,
+)
+_WORD = st.sampled_from([
+    "nan", "NaN", "-nan", "+inf", "-Inf", "Infinity", "-infinity", "iNfInItY", "nan(1)",
+    "0x1p3", "0x10", "1d3", "", '"1.5"', '"-2e3"', "1e400", "4.9e-324", "2e-324",
+])
+_SPACE = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u2003", "\u3000"])
+_ODD_CELL = st.builds(lambda *parts: "".join(parts), _SPACE, _PLAIN | _NUMBER | _WORD, _SPACE)
+
+
+def _ingest_outcome(path):
+    try:
+        panel = ingest_csv(path, demean_panel=False)
+    except TsfactorError as err:
+        return type(err), str(err), getattr(err, "row", None), getattr(err, "column", None)
+    return panel.names, panel.data.shape, panel.data.tobytes()
+
+
+@settings(max_examples=500)
+@given(
+    data=st.data(),
+    header=st.booleans(),
+    width=st.integers(1, 3),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+)
+def test_bulk_parse_matches_the_cell_scan_on_the_cell_grammar(data, header, width, newline):
+    rows = data.draw(st.lists(st.lists(_PLAIN, min_size=width, max_size=width), min_size=2, max_size=4))
+    for _ in range(data.draw(st.integers(0, 2))):
+        row, col = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, width - 1))
+        rows[row][col] = data.draw(_ODD_CELL)
+    lines = [[f"s{j}" for j in range(width)]] * header + rows
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_exact(Path(tmp) / "f.csv", "".join(",".join(r) + newline for r in lines))
+        with mock.patch.object(tsfactor.io, "_bulk_rows", lambda path: None):
+            scanned = _ingest_outcome(path)
+        assert _ingest_outcome(path) == scanned
 
 
 class TestSerialization:

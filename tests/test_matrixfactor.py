@@ -1,5 +1,7 @@
 """Tests for row/column factor estimation on matrix-valued series."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -386,3 +388,17 @@ def test_bases_own_their_memory():
     panel, _, _ = planted_panel(3, n=120, p1=8, p2=6)
     fit = estimate_matrix(panel, m=2)
     assert fit.R_hat.base is None and fit.C_hat.base is None
+
+
+@pytest.mark.parametrize("shape", [(60, 5, 4), (10, 8, 6)])
+def test_overflowing_slice_covariance_is_named_without_a_numpy_warning(shape):
+    # each slice's y_j'y_j/n overflows at data x 1e200; numpy used to warn
+    # and sym_eigen then failed on "matrix contains non-finite values"
+    panel = MatrixPanel(1e200 * np.random.default_rng(0).standard_normal(shape))
+    message = "^lag-0 covariance of column slice 0 overflows: the data are too large$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidData, match=message):
+            estimate_matrix(panel)
+        with pytest.raises(InvalidData, match=message.replace("column", "row")):
+            m_hat_cols(panel)

@@ -8,7 +8,7 @@ import pytest
 
 from tsfactor.errors import InvalidConfig
 from tsfactor.factor import EstimatorConfig, estimate, rrr_solution, weight_matrix
-from tsfactor.modelselect import BicConfig, bic_k, select_q
+from tsfactor.modelselect import BicConfig, _bic_value, _param_count, select_q
 from tsfactor.tsstats import TimePanel, demean, sample_autocov
 
 
@@ -19,6 +19,19 @@ def planted_panel(rng, n, p, r, phi=0.85, noise=0.5):
     for t in range(1, n):
         x[t] = phi * x[t - 1] + rng.normal(size=r)
     return TimePanel(x @ load.T + noise * rng.normal(size=(n, p)))
+
+
+def bic_k(panel, k, q, r_hat, C):
+    """BIC of the rank-``r_hat`` lag-k regression at projection size q, from
+    the public ``rrr_solution``: the oracle the q scan is checked against.
+    An exact fit gives ``-inf``."""
+    if r_hat >= q:
+        raise InvalidConfig(f"r_hat={r_hat} must be smaller than q={q}")
+    if C <= 0:
+        raise InvalidConfig("penalty constant C must be positive")
+    _, _, objective = rrr_solution(panel, k, q, r_hat)
+    n, p = panel.n, panel.p
+    return _bic_value(p, n, objective / (p * n), _param_count(p, q, r_hat), C)
 
 
 # ----------------------------------------------------------------- bic_k

@@ -1,9 +1,12 @@
 """Tests for panels, autocovariances and eigen tools."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from tsfactor.errors import InvalidData, InvalidLag, PreconditionViolated
+from tsfactor.factor import EstimatorConfig, estimate
 from tsfactor.tsstats import (
     EigenPairs,
     LagCovSet,
@@ -162,6 +165,18 @@ def test_autocov_rejects_an_overflowing_product():
         sample_autocov(panel, 1)
     with pytest.raises(InvalidData):  # nothing was stored
         sample_autocov(panel, 0)
+
+
+@pytest.mark.parametrize("method", ["cov", "auto", "wauto"])
+@pytest.mark.parametrize("shape", [(200, 100), (30, 100)])
+def test_overflowing_data_fail_typed_without_a_numpy_warning(method, shape):
+    # p < n and p > n (the row-space route); numpy's matmul used to warn
+    # "overflow encountered" before the typed error
+    y = 1e200 * np.random.default_rng(7).standard_normal(shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidData, match="^lag-0 autocovariance overflows: the data are too large$"):
+            estimate(TimePanel(y), EstimatorConfig(method=method))
 
 
 # ----------------------------------------------------------------- eigen
