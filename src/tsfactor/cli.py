@@ -5,7 +5,7 @@ JSON ``--config`` file (flags win), and writes three artifacts into the
 ``--out`` directory: ``report.txt`` (also printed to stdout),
 ``result.csv``, and ``trace.kv`` with one ``key=value`` per line.  The
 artifacts contain no timestamps or durations, so identical inputs and
-options produce byte-identical files at any thread count.
+options produce byte-identical files.
 
 Exit codes: 0 success, 2 usage (argparse), then one code per error
 category: 3 ingest, 4 invalid data, 5 invalid configuration, 6 invalid
@@ -21,7 +21,6 @@ import csv
 import json
 import os
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -74,14 +73,6 @@ def _q_flag(text: str):
         ) from None
 
 
-def _positive_threads(value: Optional[int]) -> int:
-    if value is None:
-        return os.cpu_count() or 1
-    if value < 1:
-        raise InvalidConfig(f"threads must be >= 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsfactor",
@@ -130,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-scale", type=float, default=1.0)
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="must be >= 1; replications always run serially, in index order")
     p.add_argument("--method", default="all", choices=["cov", "auto", "wauto", "all"])
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--q", type=_q_flag, default="auto")
@@ -345,7 +337,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         methods=_method_configs(args),
         noise_scale=args.noise_scale,
     )
-    report_obj = run_monte_carlo(spec, threads=_positive_threads(args.threads))
+    report_obj = run_monte_carlo(spec, threads=1 if args.threads is None else args.threads)
     delta1_text = fmt_float(spec.delta0 if spec.delta1 is None else spec.delta1)
     lines = [
         "monte carlo study",

@@ -19,8 +19,10 @@ aggregate:
 
 One ratio rule picks every factor count, here and in
 :mod:`tsfactor.matrixfactor` (see :func:`select_r`); one rank-r
-lag-regression kernel serves :func:`rrr_solution`, the BIC scan and the
-``wauto`` coefficients ``H_hat``.
+lag-regression kernel, in Gram form, serves :func:`rrr_solution`, the
+BIC scan and the ``wauto`` coefficients ``H_hat``.  The ``wauto`` basis
+is the top of one thin SVD of the stacked half-products
+``[B_1 ... B_m]``, whose Gram matrix is the weighted :func:`m_hat`.
 
 When p > n, :func:`estimate` runs in the panel's n-dimensional row space:
 it fits the n-by-n scores Z of a thin QR ``y' = V Z'``, since
@@ -260,12 +262,15 @@ def per_lag_spectra(covs: LagCovSet, W: Optional[WeightMatrix] = None) -> list[n
     With a weight matrix the spectrum is truncated to its q possibly
     nonzero values; without one it has all p values.  Eigenvalues are
     singular values squared, so negative round-off cannot occur; no
-    singular vectors are computed.
+    singular vectors are computed.  A square that overflows raises
+    ``InvalidData``: the unweighted spectra carry the data's scale to the
+    fourth power.
     """
-    return [
-        np.maximum(np.linalg.svd(_half_weighted(lag, W), compute_uv=False) ** 2, 0.0)
-        for lag in covs.lags
-    ]
+    with np.errstate(over="ignore"):
+        spectra = [np.linalg.svd(_half_weighted(lag, W), compute_uv=False) ** 2 for lag in covs.lags]
+    if not all(np.isfinite(s).all() for s in spectra):
+        raise InvalidData("per-lag spectrum overflows: the data are too large")
+    return spectra
 
 
 def select_r(
@@ -435,14 +440,17 @@ def estimate(
     r, ratios = _choose_rank(ranked, vartheta, bound, r_fixed)
     if cfg.method == "cov":
         a = lag0.vectors[:, :r].copy()  # a view would pin the p-by-p eigenvectors
-    else:
-        a = sym_eigen(m_hat(covs, w), r).vectors
+    elif w is None:
+        a = sym_eigen(m_hat(covs), r).vectors
+    else:  # [B_1 ... B_m] [B_1 ... B_m]' is the weighted m_hat
+        stacked = np.hstack([_half_weighted(lag, w) for lag in covs.lags])
+        a = _fix_signs(np.linalg.svd(stacked, full_matrices=False)[0][:, :r])
     if v is not None:  # back to p coordinates, signed as a p-by-p fit signs them
         a = _fix_signs(v @ a)
         if w is not None:
             w = WeightMatrix(Q=_fix_signs(v @ w.Q), theta=w.theta, q=w.q)
     h_hat = None if w is None else tuple(
-        _ridgeless_solve(y[: n - k] @ w.Q, y[k:] @ a) for k in range(1, cfg.m + 1)
+        _lag_fit(*_gram_cross(y[: n - k] @ w.Q, y[k:] @ a), 0.0)[0] for k in range(1, cfg.m + 1)
     )
     return FactorFit(
         method=cfg.method,
@@ -457,31 +465,30 @@ def estimate(
     )
 
 
-def _ridgeless_solve(design: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients (design' design)^{-1} design' target."""
-    gram = design.T @ design
+def _gram_cross(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(design' design, design' target)``, the Gram products of a regression."""
+    return design.T @ design, design.T @ target
+
+
+def _lag_fit(gram: np.ndarray, cross: np.ndarray, head_sq: float) -> tuple[np.ndarray, float]:
+    """Rank-r lag-k regression in Gram form: ``(H, ||head - design H A'||^2)``.
+
+    ``design`` is ``y[:n-k] Q`` on q covariance eigenvectors, ``head`` is
+    ``y[k:]`` and A holds r orthonormal columns; the kernel sees only
+    ``gram = design' design``, ``cross = design' head A`` and ``head_sq =
+    ||head||^2``.  With ``H = gram^{-1} cross`` the residual mass is
+    ``head_sq - <cross, H>``, clamped at 0 (Reinsel & Velu 1998, ch. 2).
+    A numerically singular ``gram`` raises ``IllConditioned``.
+    """
     vals = np.linalg.eigvalsh(gram)
-    if vals[0] <= _COND_FLOOR * max(vals[-1], 0.0):
+    floor = _COND_FLOOR * max(vals[-1], 0.0)
+    if vals[0] <= floor:
         raise IllConditioned(
             "projected regressor matrix is numerically singular",
-            q_effective=int(np.sum(vals > _COND_FLOOR * max(vals[-1], 0.0))),
+            q_effective=int(np.sum(vals > floor)),
         )
-    return np.linalg.solve(gram, design.T @ target)
-
-
-def _lag_fit(
-    u: np.ndarray, r: int, design: np.ndarray, head: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Rank-r lag-k regression: ``(A, H, ||head - design H A'||^2)``.
-
-    ``u`` holds the left singular vectors of ``B_k = Omega(k) Q
-    theta^{-1/2}`` on q columns of Q, ``design`` is ``y[:n-k] Q`` on the
-    same columns and ``head`` is ``y[k:]``; A is the signed top-r of u.
-    """
-    a = _fix_signs(u[:, :r])
-    h = _ridgeless_solve(design, head @ a)
-    resid = head - (design @ h) @ a.T
-    return a, h, float(np.sum(resid**2))
+    h = np.linalg.solve(gram, cross)
+    return h, max(head_sq - float(np.sum(cross * h)), 0.0)
 
 
 def rrr_solution(
@@ -511,8 +518,10 @@ def rrr_solution(
     covs = sample_autocov(panel, k)
     w = weight_matrix(covs, q)
     u, _, _ = np.linalg.svd(_half_weighted(covs.lags[k - 1], w), full_matrices=False)
+    a = _fix_signs(u[:, :r])
     y = panel.data
-    return _lag_fit(u, r, y[: n - k] @ w.Q, y[k:])
+    h, objective = _lag_fit(*_gram_cross(y[: n - k] @ w.Q, y[k:] @ a), float(np.sum(y[k:] ** 2)))
+    return a, h, objective
 
 
 def two_step(

@@ -2,8 +2,9 @@
 
 All numeric output uses 17-significant-digit decimal floats, which
 round-trip IEEE doubles exactly, so written loadings re-read to the bit
-and identical runs produce byte-identical files.  Ingestion errors
-carry the 1-based file line and column of the offending cell.
+and identical runs produce byte-identical files.  Input files are read
+as UTF-8, with or without a byte-order mark.  Ingestion errors carry the
+1-based file line and column of the offending cell.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ __all__ = [
     "write_text",
     "write_trace_kv",
 ]
+
+
+_ENCODING = "utf-8-sig"  # UTF-8 that drops a leading byte-order mark
 
 
 def fmt_float(x: float) -> str:
@@ -55,10 +59,12 @@ def _cell_value(cell: str, line: int, col: int) -> float:
 
 def _read_rows(path) -> list[tuple[int, list[str]]]:
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding=_ENCODING) as fh:
             rows = [(i, row) for i, row in enumerate(csv.reader(fh), start=1)]
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path} is not UTF-8 text: {exc}") from None
     return [(i, row) for i, row in rows if any(cell.strip() for cell in row)]
 
 
@@ -97,14 +103,16 @@ def _bulk_rows(path) -> Optional[tuple[Optional[list[str]], np.ndarray]]:
         with open(path, "rb") as fh:  # \x1c-\x1f are whitespace to numpy, not to float()
             if any(map(fh.read().__contains__, b"\x1c\x1d\x1e\x1f")):
                 return None
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding=_ENCODING) as fh:
             reader = csv.reader(fh)
             first = next(row for row in reader if any(cell.strip() for cell in row))
             header = first if _is_header(first) else None
             skip = reader.line_num if header is not None else 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip)
+            values = np.loadtxt(
+                path, delimiter=",", comments=None, ndmin=2, skiprows=skip, encoding=_ENCODING
+            )
     except Exception:
         return None
     if not np.isfinite(values).all() or header is not None and len(header) != values.shape[1]:

@@ -24,13 +24,14 @@ from .errors import InvalidConfig
 from .factor import (
     EstimatorConfig,
     _Q_CAP,
+    _gram_cross,
     _half_weighted,
     _lag_fit,
     _rank_q_weight,
     estimate,
     select_r,
 )
-from .tsstats import EigenPairs, LagCovSet, TimePanel
+from .tsstats import EigenPairs, LagCovSet, TimePanel, _fix_signs
 
 __all__ = ["BicConfig", "BicTrace", "select_q"]
 
@@ -126,11 +127,13 @@ def _scan(
         )
     w0 = _rank_q_weight(lag0, cfg.q0, n)
     lags = range(1, cfg.m + 1)
-    # Per-lag half-products B_k with B_k B_k' = Omega(k) W Omega(k)'.  The
-    # candidate-q objects are leading-column slices of the q0 ones because
-    # the covariance eigenvectors are nested.
+    # Per lag: the half-product B_k with B_k B_k' = Omega(k) W Omega(k)', and
+    # the Gram products G_k = D_k'D_k and C_k = D_k' y[k:] of the design
+    # D_k = y[:n-k] Q.  The candidate-q objects are leading slices of the q0
+    # ones because the covariance eigenvectors are nested.
     halves = [_half_weighted(covs.lags[k - 1], w0) for k in lags]
-    designs = [y[: n - k] @ w0.Q for k in lags]
+    grams = [_gram_cross(y[: n - k] @ w0.Q, y[k:]) for k in lags]
+    head_sqs = [float(np.sum(y[k:] ** 2)) for k in lags]
 
     def svds(q: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """One SVD per lag gives both the basis and the spectrum of B_k[:, :q]."""
@@ -150,12 +153,12 @@ def _scan(
         r_q, _ = select_r([s**2 for _, s in per_lag], n, vartheta, q - 1)
         r_hats.append(r_q)
         d = _param_count(p, q, r_q)
-        for k, (u, _) in zip(lags, per_lag):
-            _, _, objective = _lag_fit(u, r_q, designs[k - 1][:, :q], y[k:])
-            L = objective / (p * n)
-            per_lag_L[k - 1, i] = L
-            per_lag_d[k - 1, i] = d
-            per_lag_bic[k - 1, i] = _bic_value(p, n, L, d, cfg.C)
+        per_lag_L[:, i] = [
+            _lag_fit(gram[:q, :q], cross[:q] @ _fix_signs(u[:, :r_q]), head_sq)[1] / (p * n)
+            for (u, _), (gram, cross), head_sq in zip(per_lag, grams, head_sqs)
+        ]
+        per_lag_d[:, i] = d
+        per_lag_bic[:, i] = [_bic_value(p, n, L, d, cfg.C) for L in per_lag_L[:, i]]
     totals = per_lag_bic.sum(axis=0)
     q_hat = candidates[int(np.argmin(totals))]
     return BicTrace(

@@ -12,14 +12,13 @@ Two synthetic designs are provided:
     compared when factor strengths differ.
 
 Replications are seeded as ``SeedSequence((base_seed, run_index))`` on
-the PCG64 generator, so any run can be regenerated in isolation and the
-aggregate report does not depend on scheduling or thread count.
+the PCG64 generator, so any run can be regenerated in isolation.  They
+run one after another in index order on the calling thread.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -131,8 +130,7 @@ class SimulationReport:
     """Reproducible summary of a Monte Carlo experiment.
 
     Equality ignores ``wall_clock_seconds``: two reports from the same
-    spec compare equal no matter how long or on how many threads they
-    ran.
+    spec compare equal no matter how long they ran.
     """
 
     spec: SimulationSpec
@@ -281,20 +279,18 @@ def run_monte_carlo(spec: SimulationSpec, threads: int = 1) -> SimulationReport:
     Each run draws a fresh panel, fits every configured method, and
     records the estimated factor count and the subspace distance to the
     strong loading space.  Failing (run, method) cells keep their error
-    message and are excluded from the aggregates.  The fold over run
-    records is in run-index order, so the report is identical for any
-    ``threads`` value.
+    message and are excluded from the aggregates.
+
+    Runs go one after another in index order on the calling thread.
+    ``threads`` must be at least 1 and does not change how a study runs:
+    a thread pool was slower than this loop, since numpy's BLAS already
+    uses the cores.
     """
     if threads < 1:
         raise InvalidConfig("threads must be >= 1")
     labels = _method_labels(spec.methods)
     start = time.perf_counter()
-    if threads == 1:
-        per_run = [_one_run(spec, labels, i) for i in range(spec.n_runs)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_run = list(pool.map(lambda i: _one_run(spec, labels, i), range(spec.n_runs)))
-    records = tuple(rec for run in per_run for rec in run)
+    records = tuple(rec for i in range(spec.n_runs) for rec in _one_run(spec, labels, i))
     summaries = []
     for label in labels:
         mine = [r for r in records if r.method == label]

@@ -1,5 +1,7 @@
 """Tests for the weight matrix, estimators, ratio rule, and rank regression."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,15 @@ from tsfactor.factor import (
     two_step,
     weight_matrix,
 )
-from tsfactor.tsstats import LagCovSet, TimePanel, demean, sample_autocov, subspace_distance
+from tsfactor.simulate import SimulationSpec, generate_two_strength, generate_uniform
+from tsfactor.tsstats import (
+    LagCovSet,
+    TimePanel,
+    demean,
+    sample_autocov,
+    subspace_distance,
+    sym_eigen,
+)
 
 
 def ar_factor_panel(rng, n, p, r, phi=0.8, noise=1.0, loading_scale=1.0):
@@ -249,6 +259,38 @@ def test_estimate_wauto_rrr_equivalence():
     fit = estimate(panel, EstimatorConfig(method="wauto", m=1, q=4, r_fixed=2))
     a_rrr, _, _ = rrr_solution(panel, k=1, q=4, r=2)
     assert subspace_distance(fit.A_hat, a_rrr) <= 1e-8
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("seed", range(3))
+def test_wauto_basis_matches_the_dense_weighted_m_hat(seed, m):
+    # the stacked-SVD basis against the signed top-r eigenvectors of the
+    # p-by-p aggregate sum_k Omega(k) W Omega(k)'
+    panels = (
+        generate_uniform(SimulationSpec(model="uniform", p=100, n=300, r0=3), seed)[0],
+        generate_two_strength(
+            SimulationSpec(model="twostrength", p=60, n=200, r0=2, r1=2, delta1=0.5), seed
+        )[0],
+        ar_factor_panel(np.random.default_rng(seed), n=150, p=10, r=2)[0],
+    )
+    for panel in panels:
+        for q in ("auto", 6):
+            fit = estimate(panel, EstimatorConfig(method="wauto", m=m, q=q))
+            covs = sample_autocov(demean(panel), m)
+            dense = m_hat(covs, weight_matrix(covs, fit.q_used))
+            want = sym_eigen(dense, fit.r_hat).vectors
+            assert np.abs(fit.A_hat - want).max() <= 1e-12
+
+
+def test_auto_at_data_times_1e140_says_the_data_are_too_large():
+    # the lag products fit, but auto's squared singular values overflow: the
+    # typed error must come before any numpy warning, and wauto still fits
+    panel = TimePanel(1e140 * np.random.default_rng(0).standard_normal((200, 100)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidData, match="^per-lag spectrum overflows: the data are too large$"):
+            estimate(panel, EstimatorConfig(method="auto"))
+        assert estimate(panel, EstimatorConfig(method="wauto")).r_hat >= 1
 
 
 def test_estimate_wauto_records_q_and_h():

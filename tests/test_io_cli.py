@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -183,8 +184,11 @@ CSV_PARSES = [
     pytest.param("a,b\n1_0,2\n3,4\n", ("a", "b"), [[10, 2], [3, 4]], False, id="underscore"),
     pytest.param("#a,#b\n1,2\n3,4\n", ("#a", "#b"), [[1, 2], [3, 4]], True, id="hash-header"),
     pytest.param("x\n1\n3\n", ("x",), [[1], [3]], True, id="one-column"),
-    pytest.param("\ufeffa,b\n1,2\n3,4\n", ("\ufeffa", "b"), [[1, 2], [3, 4]], True, id="bom-header"),
-    pytest.param("\ufeff1,2\n3,4\n5,6\n", ("\ufeff1", "2"), [[3, 4], [5, 6]], True, id="bom-numeric"),
+    pytest.param("\ufeffa,b\n1,2\n3,4\n", ("a", "b"), [[1, 2], [3, 4]], True, id="bom-header"),
+    pytest.param("\ufeff1,2\n3,4\n5,6\n", ("v1", "v2"), [[1, 2], [3, 4], [5, 6]], True, id="bom-numeric"),
+    pytest.param("\ufeffa,b\n1_0,2\n3,4\n", ("a", "b"), [[10, 2], [3, 4]], False, id="bom-header-scan"),
+    pytest.param("\ufeff1_0,2\n3,4\n5,6\n", ("v1", "v2"), [[10, 2], [3, 4], [5, 6]], False,
+                 id="bom-numeric-scan"),
     pytest.param(" a , b \n 1 , 2 \n3\t,\t4\n", ("a", "b"), [[1, 2], [3, 4]], True, id="padded"),
     pytest.param("a,b\n\uff11,\u0662\n3,4\n", ("a", "b"), [[1, 2], [3, 4]], False, id="fullwidth-arabic-digits"),
 ]
@@ -202,6 +206,7 @@ CSV_ERRORS = [
 MATRIX_PARSES = [
     pytest.param("t,c1,c2\n1,1,2\n1,3,4\n2,5,6\n2,7,8\n", id="header-row"),
     pytest.param("1,1,2\n1.0,3,4\n2.0,5,6\n2,7,8\n", id="float-indices"),
+    pytest.param("\ufeff1,1,2\n1,3,4\n2,5,6\n2,7,8\n", id="bom"),
 ]
 MATRIX_ERRORS = [
     pytest.param("t,a\n2,1.0\n1,2.0\n", "block index 1 at line 3 does not increase", 3, 1, id="decreasing"),
@@ -245,6 +250,11 @@ class TestIngestSeams:
         assert panel.data.tobytes() == np.arange(1.0, 9.0).tobytes()
         assert panel.data.shape == (2, 2, 2)
         assert tsfactor.io._bulk_blocks(tsfactor.io._bulk_rows(path)[1]) is not None
+
+    def test_matrix_scan_drops_a_byte_order_mark(self, tmp_path):
+        path = write_exact(tmp_path / "m.csv", "\ufeff1,1,2\n1,3,4\n2,5,6\n2,7,8_0\n")
+        assert tsfactor.io._bulk_rows(path) is None
+        assert ingest_matrix_csv(path).data.ravel().tolist() == [1, 2, 3, 4, 5, 6, 7, 80]
 
     @pytest.mark.parametrize("text, message, row, column", MATRIX_ERRORS)
     def test_matrix_errors_as_the_cell_scan_did(self, tmp_path, text, message, row, column):
@@ -698,6 +708,28 @@ def test_data_scaled_by_1e200_exits_4_on_every_method(tmp_path, method):
     src = tmp_path / "huge.csv"
     np.savetxt(src, 1e200 * generate_two_strength(spec, 0)[0].data, delimiter=",", fmt="%.17g")
     assert run(["estimate", str(src), "--method", method, "--out", str(tmp_path / "o")]) == 4
+
+
+def test_auto_exits_4_on_data_scaled_by_1e140_without_a_numpy_warning(tmp_path, capsys):
+    # the lag products fit, but auto's spectra carry the scale to the fourth power
+    # and overflow
+    src = tmp_path / "huge.csv"
+    np.savetxt(src, 1e140 * np.random.default_rng(0).standard_normal((200, 100)), delimiter=",")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["estimate", str(src), "--method", "auto", "--out", str(tmp_path / "o")]) == 4
+    assert "the data are too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param("estimate", b"a,b\n1,2\n3,\xff4\n5,6\n", id="estimate"),
+    pytest.param("matrix-estimate", b"1,1,2\n1,3,4\n2,5,\xff6\n2,7,8\n", id="matrix-estimate"),
+])
+def test_undecodable_csv_exits_3_naming_the_file(tmp_path, capsys, command, text):
+    src = tmp_path / "latin.csv"
+    src.write_bytes(text)
+    assert run([command, str(src), "--out", str(tmp_path / "o")]) == 3
+    assert f"{src} is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_matrix_estimate_exits_4_on_data_scaled_by_1e200(tmp_path):

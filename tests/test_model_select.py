@@ -7,9 +7,17 @@ import numpy as np
 import pytest
 
 from tsfactor.errors import InvalidConfig
-from tsfactor.factor import EstimatorConfig, estimate, rrr_solution, weight_matrix
-from tsfactor.modelselect import BicConfig, _bic_value, _param_count, select_q
-from tsfactor.tsstats import TimePanel, demean, sample_autocov
+from tsfactor.factor import (
+    EstimatorConfig,
+    _row_space,
+    estimate,
+    rrr_solution,
+    select_r,
+    weight_matrix,
+)
+from tsfactor.modelselect import BicConfig, _bic_value, _default_q0, _param_count, select_q
+from tsfactor.simulate import SimulationSpec, generate_two_strength, generate_uniform
+from tsfactor.tsstats import TimePanel, _fix_signs, demean, sample_autocov
 
 
 def planted_panel(rng, n, p, r, phi=0.85, noise=0.5):
@@ -88,6 +96,77 @@ def test_bic_validates_arguments():
         bic_k(panel, k=1, q=3, r_hat=3, C=0.2)
     with pytest.raises(InvalidConfig):
         bic_k(panel, k=1, q=3, r_hat=1, C=0.0)
+
+
+def explicit_scan(panel, cfg, vartheta_scale=0.1):
+    """The q scan with every residual ``y[k:] - D H A'`` formed explicitly,
+    in the coordinates the scan runs in (the row space when p > n): the
+    oracle for the Gram-form kernel.  Returns the candidates, r_bar, the
+    rank per candidate, ``per_lag_L`` and q_hat."""
+    panel = demean(panel)
+    n, p = panel.n, panel.p
+    _, rows = _row_space(panel)
+    y = rows.data
+    covs = sample_autocov(rows, cfg.m)
+    w0 = weight_matrix(covs, cfg.q0)
+    vartheta = vartheta_scale * p / n
+    halves = [lag @ (w0.Q / np.sqrt(w0.theta)) for lag in covs.lags]
+
+    def svds(q):
+        return [np.linalg.svd(b[:, :q], full_matrices=False)[:2] for b in halves]
+
+    r_bar, _ = select_r([s**2 for _, s in svds(cfg.q0)], n, vartheta, cfg.q0 - 1)
+    candidates = tuple(range(r_bar + 1, cfg.q0 + 1))
+    per_lag_L = np.zeros((cfg.m, len(candidates)))
+    totals = np.zeros(len(candidates))
+    r_hats = []
+    for i, q in enumerate(candidates):
+        per_lag = svds(q)
+        r_q, _ = select_r([s**2 for _, s in per_lag], n, vartheta, q - 1)
+        r_hats.append(r_q)
+        for k, (u, _) in enumerate(per_lag, start=1):
+            a = _fix_signs(u[:, :r_q])
+            design, head = y[: n - k] @ w0.Q[:, :q], y[k:]
+            h = np.linalg.solve(design.T @ design, design.T @ (head @ a))
+            resid = head - (design @ h) @ a.T
+            per_lag_L[k - 1, i] = float(np.sum(resid**2)) / (p * n)
+            totals[i] += _bic_value(p, n, per_lag_L[k - 1, i], _param_count(p, q, r_q), cfg.C)
+    return candidates, r_bar, tuple(r_hats), per_lag_L, candidates[int(np.argmin(totals))]
+
+
+def _oracle_panels():
+    for seed in (233, 239, 263):  # the select_q tests' panels
+        yield f"planted-{seed}", planted_panel(np.random.default_rng(seed), n=150, p=12, r=2)
+    yield "planted-251", planted_panel(np.random.default_rng(251), n=120, p=10, r=1)
+    for seed in range(4):
+        spec = SimulationSpec(model="uniform", p=100, n=300, r0=3)
+        yield f"uniform-{seed}", generate_uniform(spec, seed)[0]
+        spec = SimulationSpec(model="twostrength", p=100, n=200, r0=2, r1=2, delta1=0.5)
+        yield f"twostrength-{seed}", generate_two_strength(spec, seed)[0]
+        spec = SimulationSpec(model="uniform", p=240, n=80, r0=3)
+        yield f"p>n-{seed}", generate_uniform(spec, seed)[0]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("panel", [pytest.param(panel, id=name) for name, panel in _oracle_panels()])
+def test_gram_form_scan_matches_explicit_residuals(panel, m):
+    cfg = BicConfig(q0=_default_q0(panel.n, panel.p, m), m=m)
+    trace = estimate(panel, EstimatorConfig(method="wauto", m=m), bic=cfg).bic_trace
+    candidates, r_bar, r_hats, per_lag_L, q_hat = explicit_scan(panel, cfg)
+    assert trace.candidates == candidates and trace.r_bar == r_bar
+    assert trace.r_hat_per_candidate == r_hats
+    assert np.abs(trace.per_lag_L - per_lag_L).max() <= 1e-12 * per_lag_L.min()
+    assert trace.q_hat == q_hat
+
+
+def test_rrr_objective_matches_explicit_residual():
+    panel = demean(planted_panel(np.random.default_rng(269), n=150, p=12, r=2))
+    for k, q, r in ((1, 4, 2), (2, 6, 1), (3, 11, 5)):
+        a, h, objective = rrr_solution(panel, k, q, r)
+        y, n = panel.data, panel.n
+        design = y[: n - k] @ weight_matrix(sample_autocov(panel, k), q).Q
+        resid = y[k:] - (design @ h) @ a.T
+        assert objective == pytest.approx(float(np.sum(resid**2)), rel=1e-12)
 
 
 # --------------------------------------------------------------- select_q

@@ -1,10 +1,12 @@
 """Tests for the synthetic designs and the seeded Monte Carlo harness."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from tsfactor import simulate
 from tsfactor.errors import InvalidConfig
 from tsfactor.factor import EstimatorConfig, estimate
 from tsfactor.simulate import (
@@ -223,6 +225,21 @@ def test_report_is_identical_for_any_thread_count():
     rep3 = run_monte_carlo(spec, threads=1)
     assert rep1 == rep2
     assert rep1 == rep3
+
+
+def test_replications_run_serially_in_index_order(monkeypatch):
+    calls = []
+    run_one = simulate._one_run
+
+    def recorder(spec, labels, run_index):
+        calls.append((run_index, threading.get_ident()))
+        return run_one(spec, labels, run_index)
+
+    monkeypatch.setattr(simulate, "_one_run", recorder)
+    spec = small_spec()
+    run_monte_carlo(spec, threads=3)
+    assert [i for i, _ in calls] == list(range(spec.n_runs))
+    assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
 def test_thread_count_must_be_positive():
