@@ -45,7 +45,7 @@ from .io import (
     write_trace_kv,
 )
 from .matrixfactor import estimate_matrix
-from .modelselect import BicConfig, _default_q0
+from .modelselect import BicConfig, BicTrace, _default_q0
 from .simulate import SimulationSpec, run_monte_carlo
 from .tsstats import TimePanel
 
@@ -227,7 +227,19 @@ def _fit_trace(fit: FactorFit, n: int, p: int) -> list[tuple[str, object]]:
     start = 0 if fit.method == "cov" else 1
     for k, spectrum in enumerate(fit.eigenvalues_per_lag, start=start):
         items.append((f"spectrum_lag{k}", np.asarray(spectrum)))
-    return items
+    return items if fit.bic_trace is None else items + _scan_trace(fit.bic_trace)
+
+
+def _scan_trace(trace: BicTrace) -> list[tuple[str, object]]:
+    """The q scan's keys, written by ``select-q`` and by a ``wauto`` fit that scans q."""
+    items: list[tuple[str, object]] = [
+        ("q_hat", trace.q_hat),
+        ("r_bar", trace.r_bar),
+        ("candidate", np.asarray(trace.candidates)),
+        ("r_hat_candidate", np.asarray(trace.r_hat_per_candidate)),
+        ("bic_total", np.asarray(trace.totals)),
+    ]
+    return items + [(f"bic_lag{k}", row) for k, row in enumerate(trace.per_lag_bic, start=1)]
 
 
 def _ratio_table(ratios: np.ndarray) -> str:
@@ -294,21 +306,9 @@ def _cmd_select_q(args: argparse.Namespace) -> int:
     for q, r_q, total in zip(trace.candidates, trace.r_hat_per_candidate, trace.totals):
         lines.append(f"{q:>2d}  {r_q:>5d}  {total:.10g}")
     report = "\n".join(lines) + "\n"
-    items: list[tuple[str, object]] = [
-        ("command", "select-q"),
-        ("n", panel.n),
-        ("p", panel.p),
-        ("q_hat", trace.q_hat),
-        ("r_bar", trace.r_bar),
-        ("r_hat", fit.r_hat),
-        ("candidate", np.asarray(trace.candidates)),
-        ("r_hat_candidate", np.asarray(trace.r_hat_per_candidate)),
-        ("bic_total", np.asarray(trace.totals)),
-    ]
-    for k in range(trace.per_lag_bic.shape[0]):
-        items.append((f"bic_lag{k + 1}", trace.per_lag_bic[k]))
+    items = [("command", "select-q"), ("n", panel.n), ("p", panel.p), ("r_hat", fit.r_hat)]
     _write_fit(args.out, fit, panel.names)
-    _finish(args.out, report, items)
+    _finish(args.out, report, items + _scan_trace(trace))
     return 0
 
 

@@ -20,9 +20,11 @@ aggregate:
 One ratio rule picks every factor count, here and in
 :mod:`tsfactor.matrixfactor` (see :func:`select_r`); one rank-r
 lag-regression kernel, in Gram form, serves :func:`rrr_solution`, the
-BIC scan and the ``wauto`` coefficients ``H_hat``.  The ``wauto`` basis
-is the top of one thin SVD of the stacked half-products
-``[B_1 ... B_m]``, whose Gram matrix is the weighted :func:`m_hat`.
+BIC scan and the ``wauto`` coefficients ``H_hat``.  Each spectrum is one
+symmetric eigensolve of the smaller Gram of a half-product B_k with
+``B_k B_k' = Omega(k) W Omega(k)'``; the ``wauto`` basis is the top of
+one thin SVD of the stacked ``[B_1 ... B_m]``.  Grams are formed on data
+scaled by a power of two, so they overflow no sooner than the lag products.
 
 When p > n, :func:`estimate` runs in the panel's n-dimensional row space:
 it fits the n-by-n scores Z of a thin QR ``y' = V Z'``, since
@@ -233,19 +235,12 @@ def _rank_q_weight(pairs: EigenPairs, q: int, n: int, where: str = "") -> Weight
 
 
 def m_hat(covs: LagCovSet, W: Optional[WeightMatrix] = None) -> np.ndarray:
-    """Aggregate ``sum_k Omega(k) W Omega(k)'`` (W = identity if None)."""
+    """Aggregate ``sum_k Omega(k) W Omega(k)' = sum_k B_k B_k'`` (W = identity if None)."""
     if covs.m < 1:
         raise InvalidData("m_hat needs at least one lagged autocovariance")
-    p = covs.p
-    out = np.zeros((p, p))
-    for lag in covs.lags:
-        if W is None:
-            out += lag @ lag.T
-        else:
-            if W.Q.shape[0] != p:
-                raise InvalidData("weight matrix dimension does not match covariances")
-            s = lag @ W.Q
-            out += (s / W.theta) @ s.T
+    if W is not None and W.Q.shape[0] != covs.p:
+        raise InvalidData("weight matrix dimension does not match covariances")
+    out = sum(b @ b.T for b in (_half_weighted(lag, W) for lag in covs.lags))
     return 0.5 * (out + out.T)
 
 
@@ -256,21 +251,42 @@ def _half_weighted(lag: np.ndarray, W: Optional[WeightMatrix]) -> np.ndarray:
     return lag @ (W.Q / np.sqrt(W.theta))
 
 
+def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(x * 2**-e, e)``, e the binary exponent of ``max|x|``: exact, and the
+    copy's products cannot overflow or underflow first (Higham 2002, ch. 2)."""
+    e = int(np.frexp(np.abs(x).max(initial=0.0))[1])
+    return np.ldexp(x, -e), e
+
+
+def _small_gram(b: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(G, e)``, G the smaller Gram (``B'B`` or ``BB'``) of ``B = b * 2**-e``;
+    G's eigenvalues times ``4**e`` are b's squared singular values."""
+    s, e = _scaled(b)
+    return (s.T @ s if s.shape[1] < s.shape[0] else s @ s.T), e
+
+
+def _unscale(values, e: int, what: str = "per-lag spectrum"):
+    """``max(values, 0) * 4**e``; an overflow raises ``InvalidData`` naming ``what``."""
+    with np.errstate(over="ignore"):
+        out = np.ldexp(np.maximum(values, 0.0), 2 * e)
+    if not np.isfinite(out).all():
+        raise InvalidData(f"{what} overflows: the data are too large")
+    return out
+
+
 def per_lag_spectra(covs: LagCovSet, W: Optional[WeightMatrix] = None) -> list[np.ndarray]:
     """Descending eigenvalues of ``Omega(k) W Omega(k)'`` for each lag k = 1..m.
 
     With a weight matrix the spectrum is truncated to its q possibly
-    nonzero values; without one it has all p values.  Eigenvalues are
-    singular values squared, so negative round-off cannot occur; no
-    singular vectors are computed.  A square that overflows raises
-    ``InvalidData``: the unweighted spectra carry the data's scale to the
-    fourth power.
+    nonzero values; without one it has all p values.  They are the
+    eigenvalues, clamped at 0, of the smaller Gram of the half-product
+    ``B = Omega(k) Q theta^{-1/2}`` (q by q; ``Omega(k) Omega(k)'`` with
+    no weight), formed on B scaled by a power of two and scaled back.  A
+    value that overflows raises ``InvalidData``: the unweighted spectra
+    carry the data's scale to the fourth power.
     """
-    with np.errstate(over="ignore"):
-        spectra = [np.linalg.svd(_half_weighted(lag, W), compute_uv=False) ** 2 for lag in covs.lags]
-    if not all(np.isfinite(s).all() for s in spectra):
-        raise InvalidData("per-lag spectrum overflows: the data are too large")
-    return spectra
+    grams = [_small_gram(_half_weighted(lag, W)) for lag in covs.lags]
+    return [_unscale(np.linalg.eigvalsh(gram)[::-1], e) for gram, e in grams]
 
 
 def select_r(
@@ -430,7 +446,12 @@ def estimate(
         spectra, vartheta = (lag0.values,), 0.0
     else:
         covs = sample_autocov(rows, cfg.m)
-        spectra = tuple(per_lag_spectra(covs, w))
+        if w is None and cfg.m == 1:  # the one lag's Gram is m_hat: one eigensolve for both
+            gram, e = _small_gram(covs.lags[0])
+            pairs = sym_eigen(gram, gram.shape[0])
+            spectra = (_unscale(pairs.values, e),)
+        else:
+            spectra = tuple(per_lag_spectra(covs, w))
         vartheta = cfg.vartheta_scale * (p / n) ** 2 if w is None else cfg.vartheta_scale * p / n
     if w is None:  # exact zeros for the p - n directions outside the row space; np.pad copies
         spectra = tuple(np.pad(s, (0, p - s.size)) for s in spectra)
@@ -441,7 +462,7 @@ def estimate(
     if cfg.method == "cov":
         a = lag0.vectors[:, :r].copy()  # a view would pin the p-by-p eigenvectors
     elif w is None:
-        a = sym_eigen(m_hat(covs), r).vectors
+        a = pairs.vectors[:, :r].copy() if cfg.m == 1 else sym_eigen(m_hat(covs), r).vectors
     else:  # [B_1 ... B_m] [B_1 ... B_m]' is the weighted m_hat
         stacked = np.hstack([_half_weighted(lag, w) for lag in covs.lags])
         a = _fix_signs(np.linalg.svd(stacked, full_matrices=False)[0][:, :r])
@@ -449,8 +470,9 @@ def estimate(
         a = _fix_signs(v @ a)
         if w is not None:
             w = WeightMatrix(Q=_fix_signs(v @ w.Q), theta=w.theta, q=w.q)
+    ys = None if w is None else _scaled(y)[0]  # H does not depend on y's scale
     h_hat = None if w is None else tuple(
-        _lag_fit(*_gram_cross(y[: n - k] @ w.Q, y[k:] @ a), 0.0)[0] for k in range(1, cfg.m + 1)
+        _lag_fit(*_gram_cross(ys[: n - k] @ w.Q, ys[k:] @ a), 0.0)[0] for k in range(1, cfg.m + 1)
     )
     return FactorFit(
         method=cfg.method,
@@ -519,9 +541,9 @@ def rrr_solution(
     w = weight_matrix(covs, q)
     u, _, _ = np.linalg.svd(_half_weighted(covs.lags[k - 1], w), full_matrices=False)
     a = _fix_signs(u[:, :r])
-    y = panel.data
+    y, e = _scaled(panel.data)  # H is invariant to the scale; the objective scales by 4**e
     h, objective = _lag_fit(*_gram_cross(y[: n - k] @ w.Q, y[k:] @ a), float(np.sum(y[k:] ** 2)))
-    return a, h, objective
+    return a, h, float(_unscale(objective, e, "rank-r regression objective"))
 
 
 def two_step(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import DegenerateSpectrum, InvalidConfig
 from .factor import (
     EstimatorConfig,
     _Q_CAP,
@@ -28,10 +28,12 @@ from .factor import (
     _half_weighted,
     _lag_fit,
     _rank_q_weight,
+    _scaled,
+    _unscale,
     estimate,
     select_r,
 )
-from .tsstats import EigenPairs, LagCovSet, TimePanel, _fix_signs
+from .tsstats import EigenPairs, LagCovSet, TimePanel
 
 __all__ = ["BicConfig", "BicTrace", "select_q"]
 
@@ -126,21 +128,25 @@ def _scan(
             f"q0={cfg.q0} must be at most min(p, n) - 1 = {min(p, n) - 1}"
         )
     w0 = _rank_q_weight(lag0, cfg.q0, n)
-    lags = range(1, cfg.m + 1)
-    # Per lag: the half-product B_k with B_k B_k' = Omega(k) W Omega(k)', and
-    # the Gram products G_k = D_k'D_k and C_k = D_k' y[k:] of the design
-    # D_k = y[:n-k] Q.  The candidate-q objects are leading slices of the q0
-    # ones because the covariance eigenvectors are nested.
-    halves = [_half_weighted(covs.lags[k - 1], w0) for k in lags]
-    grams = [_gram_cross(y[: n - k] @ w0.Q, y[k:]) for k in lags]
-    head_sqs = [float(np.sum(y[k:] ** 2)) for k in lags]
+    ys, f = _scaled(y)
+    # Per lag, on B_k = Omega(k) Q theta^{-1/2} scaled by 2^-e and the design
+    # D = y[:n-k] Q on y scaled by 2^-f: G = B_k'B_k, D'D, X = D'y[k:] B_k and
+    # ||y[k:]||^2.  Each candidate's objects are leading blocks of these.
+    per_lag = []
+    for k in range(1, cfg.m + 1):
+        b, e = _scaled(_half_weighted(covs.lags[k - 1], w0))
+        dd, c = _gram_cross(ys[: n - k] @ w0.Q, ys[k:])
+        per_lag.append((b.T @ b, e, dd, c @ b, float(np.sum(ys[k:] ** 2))))
 
-    def svds(q: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """One SVD per lag gives both the basis and the spectrum of B_k[:, :q]."""
-        return [np.linalg.svd(b[:, :q], full_matrices=False)[:2] for b in halves]
+    def rank(q: int):
+        """The ratio-rule rank at q and, per lag, the descending eigenpairs of
+        G[:q, :q]: B_k[:, :q]'s squared singular values over 4^e, right vectors."""
+        pairs = [np.linalg.eigh(g[:q, :q]) for g, *_ in per_lag]
+        pairs = [(vals[::-1], vecs[:, ::-1]) for vals, vecs in pairs]
+        spectra = [_unscale(vals, e) for (vals, _), (_, e, *_) in zip(pairs, per_lag)]
+        return select_r(spectra, n, vartheta, q - 1)[0], pairs
 
-    at_ceiling = svds(cfg.q0)
-    r_bar, _ = select_r([s**2 for _, s in at_ceiling], n, vartheta, cfg.q0 - 1)
+    r_bar, at_ceiling = rank(cfg.q0)
     candidates = tuple(range(r_bar + 1, cfg.q0 + 1))
 
     n_cand = len(candidates)
@@ -149,14 +155,16 @@ def _scan(
     per_lag_d = np.zeros((cfg.m, n_cand), dtype=int)
     r_hats = []
     for i, q in enumerate(candidates):
-        per_lag = at_ceiling if q == cfg.q0 else svds(q)
-        r_q, _ = select_r([s**2 for _, s in per_lag], n, vartheta, q - 1)
+        r_q, pairs = (r_bar, at_ceiling) if q == cfg.q0 else rank(q)
         r_hats.append(r_q)
         d = _param_count(p, q, r_q)
-        per_lag_L[:, i] = [
-            _lag_fit(gram[:q, :q], cross[:q] @ _fix_signs(u[:, :r_q]), head_sq)[1] / (p * n)
-            for (u, _), (gram, cross), head_sq in zip(per_lag, grams, head_sqs)
-        ]
+        for k, ((vals, vecs), (_, _, dd, x, head_sq)) in enumerate(zip(pairs, per_lag)):
+            if vals[r_q - 1] <= 0.0:
+                raise DegenerateSpectrum(f"B_{k + 1} has rank below r={r_q} at q={q}")
+            # D'y[k:] u = X V / s for B_k's top left singular vectors u = B_k V / s
+            cross = x[:q, :q] @ vecs[:, :r_q] / np.sqrt(vals[:r_q])
+            resid = _lag_fit(dd[:q, :q], cross, head_sq)[1]
+            per_lag_L[k, i] = _unscale(resid / (p * n), f, "BIC residual mean")
         per_lag_d[:, i] = d
         per_lag_bic[:, i] = [_bic_value(p, n, L, d, cfg.C) for L in per_lag_L[:, i]]
     totals = per_lag_bic.sum(axis=0)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .errors import InvalidConfig, TsfactorError
 from .factor import EstimatorConfig, _method_labels, estimate
@@ -169,13 +170,14 @@ def _uniform_loading(rng: np.random.Generator, p: int, r: int, delta: float) -> 
 
 
 def _ar1(rng: np.random.Generator, total: int, coeffs: np.ndarray, scale: float) -> np.ndarray:
-    """AR(1) components started at their stationary marginal."""
+    """AR(1) components started at their stationary marginal, one linear
+    filter per component; the filter runs the recursion bit for bit."""
     r = coeffs.shape[0]
     innov = scale * rng.standard_normal((total, r))
     out = np.empty((total, r))
     out[0] = scale * rng.standard_normal(r) / np.sqrt(1.0 - coeffs**2)
-    for t in range(1, total):
-        out[t] = coeffs * out[t - 1] + innov[t]
+    for j, phi in enumerate(coeffs):
+        out[1:, j] = lfilter([1.0], [1.0, -phi], innov[1:, j], zi=[phi * out[0, j]])[0]
     return out
 
 

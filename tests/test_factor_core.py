@@ -12,6 +12,7 @@ from tsfactor.errors import (
     InvalidData,
 )
 from tsfactor.factor import (
+    _Q_CAP,
     EstimatorConfig,
     FactorFit,
     estimate,
@@ -157,6 +158,87 @@ def test_per_lag_spectra_similarity_oracle():
     sym = half @ covs.lags[0].T @ covs.lags[0] @ half
     oracle = np.sort(np.linalg.eigvalsh(sym))[::-1]
     assert np.abs(got - oracle[: len(got)]).max() <= 1e-9 * max(1.0, oracle[0])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n, p", [(120, 30), (40, 90)])
+@pytest.mark.parametrize("q", [None, 10])
+def test_per_lag_spectra_match_squared_singular_values(n, p, m, q):
+    # the Gram eigenvalues against the squared singular values of each
+    # half-product, with and without a weight, for p < n and p > n
+    panel, _ = ar_factor_panel(np.random.default_rng(n + p + m), n=n, p=p, r=2)
+    covs = sample_autocov(demean(panel), m)
+    w = None if q is None else weight_matrix(covs, q)
+    got = per_lag_spectra(covs, w)
+    assert len(got) == m
+    for spectrum, lag in zip(got, covs.lags):
+        half = lag if w is None else lag @ (w.Q / np.sqrt(w.theta))
+        oracle = np.linalg.svd(half, compute_uv=False) ** 2
+        assert spectrum.shape == oracle.shape == (p if q is None else q,)
+        assert spectrum.min() >= 0.0
+        assert np.abs(spectrum - oracle).max() <= 1e-13 * oracle[0]
+
+
+@pytest.mark.parametrize("power", [40, -40])
+@pytest.mark.parametrize("n, p", [(150, 20), (40, 70)])
+def test_spectra_scale_exactly_with_a_power_of_two(n, p, power):
+    # each half-product is scaled by a power of two before its Gram is
+    # formed, so the spectra carry the data's scale without rounding:
+    # 2**(4 * power) for auto, 2**(2 * power) for wauto (the rank rule's
+    # offsets are absolute, so r_hat and a scanned q may move; q is fixed)
+    y = ar_factor_panel(np.random.default_rng(n * p), n=n, p=p, r=2)[0].data
+    configs = (
+        (EstimatorConfig(method="auto", m=1), 4),
+        (EstimatorConfig(method="auto", m=2), 4),
+        (EstimatorConfig(method="wauto", m=1, q=6), 2),
+        (EstimatorConfig(method="wauto", m=2, q=6), 2),
+    )
+    for cfg, degree in configs:
+        base = estimate(TimePanel(y), cfg)
+        moved = estimate(TimePanel(np.ldexp(y, power)), cfg)
+        for got, want in zip(moved.eigenvalues_per_lag, base.eigenvalues_per_lag, strict=True):
+            assert np.array_equal(got, np.ldexp(want, degree * power))
+
+
+def record_decompositions(monkeypatch):
+    """Orders of every ``svd``, ``eigh`` and ``eigvalsh`` call, by routine."""
+    calls = {"svd": [], "eigh": [], "eigvalsh": []}
+    for name in calls:
+        routine = getattr(np.linalg, name)
+
+        def recorded(mat, *args, _routine=routine, _name=name, **kwargs):
+            calls[_name].append(np.shape(mat))
+            return _routine(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+def test_a_scanned_wauto_fit_makes_one_svd_and_auto_at_one_lag_one_eigensolve(monkeypatch):
+    n, p = 200, 40
+    panel = generate_two_strength(
+        SimulationSpec(model="twostrength", p=p, n=n, r0=2, r1=2, delta1=0.5), 3
+    )[0]
+    calls = record_decompositions(monkeypatch)
+    fit = estimate(panel, EstimatorConfig(method="wauto", q="auto"))
+    # the stacked half-products for the basis; one p-by-p eigensolve, of lag 0
+    assert calls["svd"] == [(p, 2 * fit.q_used)]
+    assert [s for s in calls["eigh"] + calls["eigvalsh"] if s[0] > _Q_CAP] == [(p, p)]
+    calls = record_decompositions(monkeypatch)
+    estimate(panel, EstimatorConfig(method="auto", m=1))
+    assert calls == {"svd": [], "eigh": [(p, p)], "eigvalsh": []}
+
+
+def test_auto_at_one_lag_matches_the_m_hat_route():
+    # the one lag's Gram is m_hat: the spectrum and the basis from one eigensolve
+    for p, n in ((30, 150), (90, 40)):
+        panel, _ = ar_factor_panel(np.random.default_rng(p), n=n, p=p, r=2)
+        fit = estimate(panel, EstimatorConfig(method="auto", m=1))
+        covs = sample_autocov(demean(panel), 1)
+        want = sym_eigen(m_hat(covs), fit.r_hat).vectors
+        assert subspace_distance(fit.A_hat, want) <= 1e-10
+        spectrum = np.linalg.svd(covs.lags[0], compute_uv=False) ** 2
+        assert np.abs(fit.eigenvalues_per_lag[0] - spectrum).max() <= 1e-13 * spectrum[0]
 
 
 # ------------------------------------------------------------- ratio rule

@@ -594,6 +594,29 @@ class TestCliForecastAndSelectQ:
         loading = read_loadings_csv(out / "result.csv")
         assert loading.shape == (12, int(kv["r_hat"]))
 
+    def test_a_scanning_estimate_writes_the_select_q_scan_keys(self, tmp_path):
+        src = tmp_path / "panel.csv"
+        write_panel_csv(src, p=12, n=150)
+        kvs = {}
+        for name, args in (
+            ("select", ["select-q"]),
+            ("scan", ["estimate"]),
+            ("fixed", ["estimate", "--q", "6"]),
+        ):
+            assert run(args + [str(src), "--q0", "8", "--out", str(tmp_path / name)]) == 0
+            kvs[name] = read_kv(tmp_path / name / "trace.kv")
+        scan_keys = {"q_hat", "r_bar"} | {
+            k for k in kvs["select"]
+            if k.split("_")[0] in ("candidate", "bic") or k.startswith("r_hat_candidate_")
+        }
+        assert {k for k in kvs["select"] if k.startswith("bic_lag2_")}
+        assert {k: kvs["scan"][k] for k in scan_keys} == {k: kvs["select"][k] for k in scan_keys}
+        assert kvs["scan"]["q_used"] == kvs["scan"]["q_hat"]
+        assert not scan_keys & set(kvs["fixed"])
+        # the scan adds no ratio_ key: the ratios are the fit's alone
+        ratio_keys = {k for k in kvs["scan"] if k.startswith("ratio_")}
+        assert ratio_keys == {f"ratio_{j}" for j in range(1, int(kvs["scan"]["q_used"]))}
+
 
 class TestCliMatrix:
     def test_matrix_estimate_writes_both_bases(self, tmp_path):

@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from tsfactor.errors import InvalidConfig
+from tsfactor.errors import InvalidConfig, InvalidData
 from tsfactor.factor import (
     EstimatorConfig,
     _row_space,
@@ -17,7 +18,7 @@ from tsfactor.factor import (
 )
 from tsfactor.modelselect import BicConfig, _bic_value, _default_q0, _param_count, select_q
 from tsfactor.simulate import SimulationSpec, generate_two_strength, generate_uniform
-from tsfactor.tsstats import TimePanel, _fix_signs, demean, sample_autocov
+from tsfactor.tsstats import TimePanel, _fix_signs, demean, sample_autocov, subspace_distance
 
 
 def planted_panel(rng, n, p, r, phi=0.85, noise=0.5):
@@ -268,3 +269,80 @@ def test_estimate_auto_q_uses_bic_choice():
         EstimatorConfig(method="wauto", q=5),
     ):
         assert estimate(panel, cfg).bic_trace is None
+
+
+def test_rrr_solution_is_scale_free_and_names_an_objective_that_overflows():
+    y = generate_uniform(SimulationSpec(model="uniform", p=100, n=300, r0=3), 0)[0].data
+    a, h, objective = rrr_solution(TimePanel(y), 1, 5, 2)
+    for power in (40, -40):
+        a_moved, h_moved, moved = rrr_solution(TimePanel(np.ldexp(y, power)), 1, 5, 2)
+        assert np.array_equal(a_moved, a) and np.array_equal(h_moved, h)
+        assert moved == np.ldexp(objective, 2 * power)
+    # the lag products still fit at 1e152, but ||y[1:] - ...||^2 does not
+    with pytest.raises(InvalidData, match="objective overflows: the data are too large$"):
+        rrr_solution(TimePanel(1e152 * y), 1, 5, 2)
+
+
+@pytest.mark.parametrize("q", ["auto", 5])
+def test_wauto_fits_a_uniform_panel_times_1e152(q):
+    # D'D used to overflow and numpy's eigvalsh raised an untyped
+    # LinAlgError, although the lag products fit
+    panel = generate_uniform(SimulationSpec(model="uniform", p=100, n=300, r0=3), 0)[0]
+    cfg = EstimatorConfig(method="wauto", q=q)
+    base = estimate(panel, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = estimate(TimePanel(1e152 * panel.data), cfg)
+    assert (fit.r_hat, fit.q_used) == (base.r_hat, base.q_used)
+    assert subspace_distance(fit.A_hat, base.A_hat) <= 1e-10
+    for got, want in zip(fit.H_hat, base.H_hat, strict=True):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_scan_of_a_two_strength_panel_times_1e152_matches_the_unscaled_scan():
+    # ||y[k:]||^2 used to overflow: every BIC total was inf and q_hat was 3
+    panel = generate_two_strength(
+        SimulationSpec(model="twostrength", p=100, n=200, r0=2, r1=2, delta1=0.5), 0
+    )[0]
+    base = estimate(panel, EstimatorConfig(method="wauto")).bic_trace
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = estimate(TimePanel(1e152 * panel.data), EstimatorConfig(method="wauto")).bic_trace
+    assert (got.q_hat, got.r_bar) == (base.q_hat, base.r_bar) == (7, 2)
+    assert got.candidates == base.candidates
+    assert got.r_hat_per_candidate == base.r_hat_per_candidate
+    assert np.isfinite(got.totals).all()
+    # at a power of two every residual mean scales exactly
+    moved = estimate(TimePanel(np.ldexp(panel.data, 40)), EstimatorConfig(method="wauto")).bic_trace
+    assert moved.candidates == base.candidates
+    assert np.array_equal(moved.per_lag_L, np.ldexp(base.per_lag_L, 80))
+
+
+SCALED_OUTCOMES = {  # (auto r_hat, wauto r_hat, wauto q_hat) on the panel below
+    1e-150: (1, 1, 10),
+    1e-100: (1, 1, 10),
+    1e60: (2, 2, 7),
+    1e76: (2, 2, 7),
+    1e77: ("InvalidData", 2, 7),
+    1e140: ("InvalidData", 2, 7),
+    1e150: ("InvalidData", 2, 7),
+}
+
+
+@pytest.mark.parametrize("scale", list(SCALED_OUTCOMES))
+def test_auto_and_wauto_outcomes_across_scales(scale):
+    # auto's spectra carry the scale to the fourth power and overflow from
+    # about 1e77; wauto fits up to the lag-product overflow
+    panel = generate_two_strength(
+        SimulationSpec(model="twostrength", p=100, n=200, r0=2, r1=2, delta1=0.5), 0
+    )[0]
+    moved = TimePanel(scale * panel.data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            auto = estimate(moved, EstimatorConfig(method="auto")).r_hat
+        except InvalidData as err:
+            assert str(err) == "per-lag spectrum overflows: the data are too large"
+            auto = "InvalidData"
+        wauto = estimate(moved, EstimatorConfig(method="wauto"))
+    assert (auto, wauto.r_hat, wauto.q_used) == SCALED_OUTCOMES[scale]

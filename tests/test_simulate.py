@@ -317,3 +317,16 @@ def test_report_invariants_are_enforced():
             records=(RunRecord(0, "cov", 2, 1.5),),
             wall_clock_seconds=0.0,
         )
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.2])
+def test_ar1_filter_runs_the_recursion_bit_for_bit(scale):
+    coeffs = np.array([0.9, -0.75, 0.95])
+    got = simulate._ar1(np.random.default_rng(5), 500, coeffs, scale)
+    rng = np.random.default_rng(5)  # the same draws, in the same order
+    innov = scale * rng.standard_normal((500, 3))
+    want = np.empty((500, 3))
+    want[0] = scale * rng.standard_normal(3) / np.sqrt(1.0 - coeffs**2)
+    for t in range(1, 500):
+        want[t] = coeffs * want[t - 1] + innov[t]
+    assert np.array_equal(got, want)
