@@ -224,6 +224,7 @@ def test_a_scanned_wauto_fit_makes_one_svd_and_auto_at_one_lag_one_eigensolve(mo
     # the stacked half-products for the basis; one p-by-p eigensolve, of lag 0
     assert calls["svd"] == [(p, 2 * fit.q_used)]
     assert [s for s in calls["eigh"] + calls["eigvalsh"] if s[0] > _Q_CAP] == [(p, p)]
+    monkeypatch.undo()
     calls = record_decompositions(monkeypatch)
     estimate(panel, EstimatorConfig(method="auto", m=1))
     assert calls == {"svd": [], "eigh": [(p, p)], "eigvalsh": []}
