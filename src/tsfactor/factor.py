@@ -492,7 +492,7 @@ def _gram_cross(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.
     return design.T @ design, design.T @ target
 
 
-def _lag_fit(gram: np.ndarray, cross: np.ndarray, head_sq: float) -> tuple[np.ndarray, float]:
+def _lag_fit(gram: np.ndarray, cross: np.ndarray, head_sq) -> tuple[np.ndarray, np.ndarray]:
     """Rank-r lag-k regression in Gram form: ``(H, ||head - design H A'||^2)``.
 
     ``design`` is ``y[:n-k] Q`` on q covariance eigenvectors, ``head`` is
@@ -500,17 +500,18 @@ def _lag_fit(gram: np.ndarray, cross: np.ndarray, head_sq: float) -> tuple[np.nd
     ``gram = design' design``, ``cross = design' head A`` and ``head_sq =
     ||head||^2``.  With ``H = gram^{-1} cross`` the residual mass is
     ``head_sq - <cross, H>``, clamped at 0 (Reinsel & Velu 1998, ch. 2).
+    The arguments may carry a leading stack axis, one regression per lag.
     A numerically singular ``gram`` raises ``IllConditioned``.
     """
     vals = np.linalg.eigvalsh(gram)
-    floor = _COND_FLOOR * max(vals[-1], 0.0)
-    if vals[0] <= floor:
+    floor = _COND_FLOOR * np.maximum(vals[..., -1:], 0.0)
+    if np.any(vals[..., :1] <= floor):
         raise IllConditioned(
             "projected regressor matrix is numerically singular",
-            q_effective=int(np.sum(vals > floor)),
+            q_effective=int(np.sum(vals > floor, axis=-1).min()),
         )
     h = np.linalg.solve(gram, cross)
-    return h, max(head_sq - float(np.sum(cross * h)), 0.0)
+    return h, np.maximum(head_sq - np.sum(cross * h, axis=(-2, -1)), 0.0)
 
 
 def rrr_solution(

@@ -129,24 +129,26 @@ def _scan(
         )
     w0 = _rank_q_weight(lag0, cfg.q0, n)
     ys, f = _scaled(y)
-    # Per lag, on B_k = Omega(k) Q theta^{-1/2} scaled by 2^-e and the design
-    # D = y[:n-k] Q on y scaled by 2^-f: G = B_k'B_k, D'D, X = D'y[k:] B_k and
-    # ||y[k:]||^2.  Each candidate's objects are leading blocks of these.
-    per_lag = []
-    for k in range(1, cfg.m + 1):
-        b, e = _scaled(_half_weighted(covs.lags[k - 1], w0))
-        dd, c = _gram_cross(ys[: n - k] @ w0.Q, ys[k:])
-        per_lag.append((b.T @ b, e, dd, c @ b, float(np.sum(ys[k:] ** 2))))
+    lags = range(1, cfg.m + 1)
+    # Stacked over lags, on B_k = Omega(k) Q theta^{-1/2} scaled by 2^-e_k and the
+    # design D_k = y[:n-k] Q on y scaled by 2^-f: G_k = B_k'B_k, D_k'D_k,
+    # X_k = D_k'y[k:] B_k and ||y[k:]||^2.  Each candidate's objects are leading
+    # blocks of these, because the covariance eigenvectors are nested.
+    halves = [_scaled(_half_weighted(covs.lags[k - 1], w0)) for k in lags]
+    regs = [_gram_cross(ys[: n - k] @ w0.Q, ys[k:]) for k in lags]
+    grams = np.stack([b.T @ b for b, _ in halves])
+    exps = np.array([[e] for _, e in halves])
+    designs = np.stack([dd for dd, _ in regs])
+    xs = np.stack([c @ b for (_, c), (b, _) in zip(regs, halves)])
+    head_sqs = np.array([float(np.sum(ys[k:] ** 2)) for k in lags])
 
     def rank(q: int):
-        """The ratio-rule rank at q and, per lag, the descending eigenpairs of
-        G[:q, :q]: B_k[:, :q]'s squared singular values over 4^e, right vectors."""
-        pairs = [np.linalg.eigh(g[:q, :q]) for g, *_ in per_lag]
-        pairs = [(vals[::-1], vecs[:, ::-1]) for vals, vecs in pairs]
-        spectra = [_unscale(vals, e) for (vals, _), (_, e, *_) in zip(pairs, per_lag)]
-        return select_r(spectra, n, vartheta, q - 1)[0], pairs
+        """The ratio-rule rank at q and the ascending eigenpairs of each
+        G_k[:q, :q]: B_k[:, :q]'s squared singular values over 4^e_k, right vectors."""
+        vals, vecs = np.linalg.eigh(grams[:, :q, :q])
+        return select_r(_unscale(vals[:, ::-1], exps), n, vartheta, q - 1)[0], vals, vecs
 
-    r_bar, at_ceiling = rank(cfg.q0)
+    r_bar, *at_ceiling = rank(cfg.q0)
     candidates = tuple(range(r_bar + 1, cfg.q0 + 1))
 
     n_cand = len(candidates)
@@ -155,16 +157,15 @@ def _scan(
     per_lag_d = np.zeros((cfg.m, n_cand), dtype=int)
     r_hats = []
     for i, q in enumerate(candidates):
-        r_q, pairs = (r_bar, at_ceiling) if q == cfg.q0 else rank(q)
+        r_q, vals, vecs = (r_bar, *at_ceiling) if q == cfg.q0 else rank(q)
         r_hats.append(r_q)
         d = _param_count(p, q, r_q)
-        for k, ((vals, vecs), (_, _, dd, x, head_sq)) in enumerate(zip(pairs, per_lag)):
-            if vals[r_q - 1] <= 0.0:
-                raise DegenerateSpectrum(f"B_{k + 1} has rank below r={r_q} at q={q}")
-            # D'y[k:] u = X V / s for B_k's top left singular vectors u = B_k V / s
-            cross = x[:q, :q] @ vecs[:, :r_q] / np.sqrt(vals[:r_q])
-            resid = _lag_fit(dd[:q, :q], cross, head_sq)[1]
-            per_lag_L[k, i] = _unscale(resid / (p * n), f, "BIC residual mean")
+        if np.any(vals[:, -r_q] <= 0.0):
+            raise DegenerateSpectrum(f"a lag's B_k has rank below r={r_q} at q={q}")
+        # D_k'y[k:] u = X_k V / s for the top left singular vectors u = B_k V / s
+        cross = xs[:, :q, :q] @ vecs[:, :, -r_q:] / np.sqrt(vals[:, None, -r_q:])
+        resid = _lag_fit(designs[:, :q, :q], cross, head_sqs)[1]
+        per_lag_L[:, i] = _unscale(resid / (p * n), f, "BIC residual mean")
         per_lag_d[:, i] = d
         per_lag_bic[:, i] = [_bic_value(p, n, L, d, cfg.C) for L in per_lag_L[:, i]]
     totals = per_lag_bic.sum(axis=0)
