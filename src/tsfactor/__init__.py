@@ -31,7 +31,7 @@ from .forecast import (
 )
 from .io import ingest_csv, ingest_matrix_csv, read_loadings_csv, write_loadings_csv
 from .matrixfactor import MatrixFactorFit, MatrixPanel, estimate_matrix
-from .modelselect import BicConfig, BicTrace, select_q
+from .modelselect import BicTrace, select_q
 from .simulate import (
     MethodSummary,
     RunRecord,
@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArmaFit",
-    "BicConfig",
     "BicTrace",
     "DegenerateSpectrum",
     "EstimatorConfig",

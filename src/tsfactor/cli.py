@@ -45,7 +45,7 @@ from .io import (
     write_trace_kv,
 )
 from .matrixfactor import estimate_matrix
-from .modelselect import BicConfig, BicTrace, _default_q0
+from .modelselect import BicTrace
 from .simulate import SimulationSpec, run_monte_carlo
 from .tsstats import TimePanel
 
@@ -61,6 +61,9 @@ _EXIT_BY_ERROR: tuple[tuple[type, int], ...] = (
     (DegenerateSpectrum, 9),
     (TsfactorError, 10),
 )
+
+_FIT = EstimatorConfig()  # each option that fills an EstimatorConfig defaults to its field
+
 
 def _q_flag(text: str):
     if text == "auto":
@@ -90,12 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("estimate", "estimate loadings and the factor count", True)
-    p.add_argument("--method", default="wauto", choices=["cov", "auto", "wauto"])
-    p.add_argument("--m", type=int, default=2, help="number of lags aggregated")
-    p.add_argument("--q", type=_q_flag, default="auto", help="projection dimension or 'auto'")
-    p.add_argument("--q0", type=int, default=None, help="ceiling of the q scan")
-    p.add_argument("--bic-c", type=float, default=0.2, help="BIC penalty constant")
-    p.add_argument("--vartheta-scale", type=float, default=0.1, help="ratio offset scale")
+    p.add_argument("--method", default=_FIT.method, choices=["cov", "auto", "wauto"])
+    p.add_argument("--m", type=int, default=_FIT.m, help="number of lags aggregated")
+    p.add_argument("--q", type=_q_flag, default=_FIT.q, help="projection dimension or 'auto'")
+    p.add_argument("--q0", type=int, default=_FIT.q0, help="ceiling of the q scan")
+    p.add_argument("--bic-c", type=float, default=_FIT.bic_c, help="BIC penalty constant")
+    p.add_argument("--vartheta-scale", type=float, default=_FIT.vartheta_scale,
+                   help="ratio offset scale")
     p.add_argument("--r", type=int, default=None, help="fix the factor count")
     p.add_argument("--r-max", type=int, default=None, help="cap the factor-count search")
     p.add_argument("--no-demean", action="store_true", default=False,
@@ -103,10 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = add("select-q", "scan the projection dimension by generalized BIC", True)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--q0", type=int, default=None)
-    p.add_argument("--bic-c", type=float, default=0.2)
-    p.add_argument("--vartheta-scale", type=float, default=0.1)
+    p.add_argument("--m", type=int, default=_FIT.m)
+    p.add_argument("--q0", type=int, default=_FIT.q0)
+    p.add_argument("--bic-c", type=float, default=_FIT.bic_c)
+    p.add_argument("--vartheta-scale", type=float, default=_FIT.vartheta_scale)
     p.add_argument("--no-demean", action="store_true", default=False)
     p.set_defaults(func=_cmd_select_q)
 
@@ -124,9 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=None,
                    help="must be >= 1; replications always run serially, in index order")
     p.add_argument("--method", default="all", choices=["cov", "auto", "wauto", "all"])
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--q", type=_q_flag, default="auto")
-    p.add_argument("--vartheta-scale", type=float, default=0.1)
+    p.add_argument("--m", type=int, default=_FIT.m)
+    p.add_argument("--q", type=_q_flag, default=_FIT.q)
+    p.add_argument("--vartheta-scale", type=float, default=_FIT.vartheta_scale)
     p.set_defaults(func=_cmd_simulate)
 
     p = add("forecast", "expanding-window forecast comparison", True)
@@ -134,9 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, default=1, help="forecast horizon")
     p.add_argument("--r", type=int, default=1, help="factor count used in every window")
     p.add_argument("--n1", type=int, default=None, help="first training window length")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--q", type=_q_flag, default="auto")
-    p.add_argument("--vartheta-scale", type=float, default=0.1)
+    p.add_argument("--m", type=int, default=_FIT.m)
+    p.add_argument("--q", type=_q_flag, default=_FIT.q)
+    p.add_argument("--vartheta-scale", type=float, default=_FIT.vartheta_scale)
     p.add_argument("--standardize-per-window", action="store_true", default=False,
                    help="score in original units with per-window scaling")
     p.set_defaults(func=_cmd_forecast)
@@ -249,12 +253,6 @@ def _ratio_table(ratios: np.ndarray) -> str:
     return "\n".join(lines)
 
 
-def _bic_config(args: argparse.Namespace, panel: TimePanel) -> BicConfig:
-    """Settings of the q scan; an unset q0 takes the panel's default ceiling."""
-    q0 = args.q0 if args.q0 is not None else _default_q0(panel.n, panel.p, args.m)
-    return BicConfig(C=args.bic_c, q0=q0, m=args.m)
-
-
 def _cmd_estimate(args: argparse.Namespace) -> int:
     panel = _load_panel(args)
     cfg = EstimatorConfig(
@@ -264,9 +262,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         vartheta_scale=args.vartheta_scale,
         r_search_max=args.r_max,
         r_fixed=args.r,
+        q0=args.q0,
+        bic_c=args.bic_c,
     )
-    scans = cfg.method == "wauto" and not isinstance(cfg.q, int)
-    fit = estimate(panel, cfg, bic=_bic_config(args, panel) if scans else None)
+    fit = estimate(panel, cfg)
     q_text = "-" if fit.q_used is None else str(fit.q_used)
     report = (
         "factor estimate\n"
@@ -293,13 +292,12 @@ def _write_fit(out_dir: str, fit: FactorFit, names: tuple[str, ...]) -> None:
 
 def _cmd_select_q(args: argparse.Namespace) -> int:
     panel = _load_panel(args)
-    bic = _bic_config(args, panel)
-    cfg = EstimatorConfig(method="wauto", m=args.m, vartheta_scale=args.vartheta_scale)
-    fit = estimate(panel, cfg, bic=bic)
+    cfg = EstimatorConfig(m=args.m, vartheta_scale=args.vartheta_scale, q0=args.q0, bic_c=args.bic_c)
+    fit = estimate(panel, cfg)
     trace = fit.bic_trace
     lines = [
         "projection dimension scan",
-        f"n={panel.n}  p={panel.p}  q0={bic.q0}  C={args.bic_c:.6g}",
+        f"n={panel.n}  p={panel.p}  q0={trace.candidates[-1]}  C={cfg.bic_c:.6g}",
         f"q_hat={trace.q_hat}  r_bar={trace.r_bar}  r_hat={fit.r_hat}",
         "q  r_hat  bic_total",
     ]

@@ -30,11 +30,11 @@ When p > n, :func:`estimate` runs in the panel's n-dimensional row space:
 it fits the n-by-n scores Z of a thin QR ``y' = V Z'``, since
 ``Omega(k) = V Omega_Z(k) V'``, and lifts the basis back with V.  The
 numbers agree with the p-by-p route to round-off.  :func:`estimate` is
-the one entry to the q scan: a ``wauto`` fit with ``q="auto"`` records
-the scan's :class:`~tsfactor.modelselect.BicTrace` as
-``FactorFit.bic_trace``, and :func:`~tsfactor.modelselect.select_q` and
-``tsfactor select-q`` read it from there, so they run in the row space
-too.
+the one entry to the q scan: a ``wauto`` fit with ``q="auto"`` scans on
+its config's ``m``, ``q0`` and ``bic_c`` and records the scan's
+:class:`~tsfactor.modelselect.BicTrace` as ``FactorFit.bic_trace``, and
+:func:`~tsfactor.modelselect.select_q` and ``tsfactor select-q`` read it
+from there, so they run in the row space too.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .modelselect import BicConfig, BicTrace
+    from .modelselect import BicTrace
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .tsstats import (
     TimePanel,
     _fix_signs,
     _lag0_eigen,
+    _scaled,
     demean,
     sample_autocov,
     sym_eigen,
@@ -84,16 +85,21 @@ _Q_CAP = 15  # ceiling of every default q and factor-count search
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Settings shared by the three estimators.
+    """Settings of one fit, the ``wauto`` q scan's included.
 
     Parameters
     ----------
     method : {"cov", "auto", "wauto"}
     m : int
-        Number of lags aggregated (default 2); ignored by ``cov``.
+        Number of lags aggregated and scanned (default 2); ignored by ``cov``.
     q : int, "auto", or None
         Projection dimension for ``wauto``.  ``"auto"`` (the default)
         delegates to the generalized BIC; an int pins it.
+    q0 : int, optional
+        Ceiling of the q scan, in ``[3, min(p, n) - 1]``; defaults to
+        ``min(15, p - 1, n - m)``.
+    bic_c : float
+        Penalty constant C of the generalized BIC (default 0.2).
     vartheta_scale : float
         Scale of the ratio-offset: the offset is ``scale * p/n`` for
         ``wauto`` and ``scale * (p/n)**2`` for ``auto``; ``cov`` uses
@@ -111,6 +117,8 @@ class EstimatorConfig:
     vartheta_scale: float = 0.1
     r_search_max: Optional[int] = None
     r_fixed: Optional[int] = None
+    q0: Optional[int] = None
+    bic_c: float = 0.2
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -127,6 +135,10 @@ class EstimatorConfig:
             raise InvalidConfig("r_search_max must be >= 1")
         if self.r_fixed is not None and self.r_fixed < 1:
             raise InvalidConfig("r_fixed must be >= 1")
+        if self.q0 is not None and self.q0 < 3:
+            raise InvalidConfig(f"q0 must be at least 3, got {self.q0}")
+        if self.bic_c <= 0:
+            raise InvalidConfig(f"penalty constant bic_c must be positive, got {self.bic_c}")
         if (
             isinstance(self.q, int)
             and self.r_search_max is not None
@@ -249,13 +261,6 @@ def _half_weighted(lag: np.ndarray, W: Optional[WeightMatrix]) -> np.ndarray:
     if W is None:
         return lag
     return lag @ (W.Q / np.sqrt(W.theta))
-
-
-def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(x * 2**-e, e)``, e the binary exponent of ``max|x|``: exact, and the
-    copy's products cannot overflow or underflow first (Higham 2002, ch. 2)."""
-    e = int(np.frexp(np.abs(x).max(initial=0.0))[1])
-    return np.ldexp(x, -e), e
 
 
 def _small_gram(b: np.ndarray) -> tuple[np.ndarray, int]:
@@ -394,19 +399,14 @@ def _row_space(panel: TimePanel) -> tuple[Optional[np.ndarray], TimePanel]:
     return panel._memo["row_space"]
 
 
-def estimate(
-    panel: TimePanel,
-    cfg: EstimatorConfig,
-    bic: "Optional[BicConfig]" = None,
-) -> FactorFit:
+def estimate(panel: TimePanel, cfg: EstimatorConfig) -> FactorFit:
     """Estimate the loading space and factor count of a panel.
 
     The panel is demeaned if it is not already.  ``cfg.method`` picks
     the aggregate, its spectra and ratio offset; rank and basis follow
     one path.  For ``wauto`` with ``q="auto"`` the projection dimension
-    comes from the generalized BIC scan of :mod:`tsfactor.modelselect`,
-    using ``bic`` (a :class:`~tsfactor.modelselect.BicConfig`) when
-    given and a ceiling ``q0 = min(15, p - 1, n - m)`` otherwise.  Fits on
+    comes from the generalized BIC scan of :mod:`tsfactor.modelselect`
+    over lags 1..``cfg.m``, with ``cfg.bic_c`` and ``cfg.q0``.  Fits on
     one panel share its memoized moments (see :class:`TimePanel`).
 
     Returns
@@ -434,11 +434,9 @@ def estimate(
     if cfg.method == "wauto":
         q = cfg.q
         if not isinstance(q, int):
-            from .modelselect import BicConfig, _default_q0, _scan
+            from .modelselect import _scan
 
-            bic = bic if bic is not None else BicConfig(q0=_default_q0(n, p, cfg.m), m=cfg.m)
-            covs = sample_autocov(rows, max(cfg.m, bic.m))
-            trace = _scan(rows.data, p, covs, lag0, bic, cfg.vartheta_scale * p / n)
+            trace = _scan(rows.data, p, sample_autocov(rows, cfg.m), lag0, cfg)
             q = trace.q_hat
         w = _rank_q_weight(lag0, q, n)
 
@@ -539,7 +537,7 @@ def rrr_solution(
             f"need 1 <= r <= q <= min(p, n-k) = {min(p, n - k)}, got r={r}, q={q}"
         )
     covs = sample_autocov(panel, k)
-    w = weight_matrix(covs, q)
+    w = _rank_q_weight(_lag0_eigen(panel), q, n)
     u, _, _ = np.linalg.svd(_half_weighted(covs.lags[k - 1], w), full_matrices=False)
     a = _fix_signs(u[:, :r])
     y, e = _scaled(panel.data)  # H is invariant to the scale; the objective scales by 4**e

@@ -10,13 +10,13 @@ where ``L_k(q)`` is the average squared residual of the rank-``r_hat``
 fit at lag k and ``d_k(q) = (p+q)*r_hat - r_hat*(r_hat+1)/2`` counts the
 free parameters of that fit.  The factor count ``r_hat`` is re-selected
 at every candidate q by the eigenvalue-ratio rule, and the winning q
-minimizes the total over lags k = 1..m.
+minimizes the total over the fit's lags k = 1..m.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,31 +28,13 @@ from .factor import (
     _half_weighted,
     _lag_fit,
     _rank_q_weight,
-    _scaled,
     _unscale,
     estimate,
     select_r,
 )
-from .tsstats import EigenPairs, LagCovSet, TimePanel
+from .tsstats import EigenPairs, LagCovSet, TimePanel, _scaled
 
-__all__ = ["BicConfig", "BicTrace", "select_q"]
-
-
-@dataclass(frozen=True)
-class BicConfig:
-    """Penalty constant C, candidate ceiling q0, and lag count m."""
-
-    C: float = 0.2
-    q0: int = 15
-    m: int = 2
-
-    def __post_init__(self):
-        if self.C <= 0:
-            raise InvalidConfig(f"penalty constant C must be positive, got {self.C}")
-        if self.q0 < 3:
-            raise InvalidConfig(f"q0 must be at least 3, got {self.q0}")
-        if self.m < 1:
-            raise InvalidConfig(f"m must be >= 1, got {self.m}")
+__all__ = ["BicTrace", "select_q"]
 
 
 @dataclass(frozen=True)
@@ -93,13 +75,7 @@ def _param_count(p: int, q: int, r: int) -> int:
     return (p + q) * r - r * (r + 1) // 2
 
 
-def _default_q0(n: int, p: int, m: int) -> int:
-    """Default scan ceiling: 15, below min(p, n), and no more than the
-    n - m rows of the lag-m regression, so every candidate q is solvable."""
-    return min(_Q_CAP, p - 1, n - m)
-
-
-def select_q(panel: TimePanel, cfg: BicConfig, est_cfg: EstimatorConfig) -> BicTrace:
+def select_q(panel: TimePanel, cfg: EstimatorConfig) -> BicTrace:
     """Scan q over ``(r_bar, q0]`` and pick the BIC minimizer.
 
     ``r_bar`` is the ratio-rule factor count at the ceiling ``q0``; only
@@ -108,28 +84,28 @@ def select_q(panel: TimePanel, cfg: BicConfig, est_cfg: EstimatorConfig) -> BicT
     surface; determinism is bit-for-bit for identical inputs.
 
     This is the ``bic_trace`` of a ``wauto`` :func:`~tsfactor.factor.estimate`
-    with ``q="auto"``, ``m = cfg.m`` and ``est_cfg``'s offset scale, so
-    the scan runs in the panel's row space when p > n.
+    with ``q="auto"`` on ``cfg`` less its rank settings, which the scan does
+    not read, so the scan runs in the panel's row space when p > n.
     """
-    est = EstimatorConfig(method="wauto", m=cfg.m, vartheta_scale=est_cfg.vartheta_scale)
-    return estimate(panel, est, cfg).bic_trace
+    scan = replace(cfg, method="wauto", q="auto", r_search_max=None, r_fixed=None)
+    return estimate(panel, scan).bic_trace
 
 
 def _scan(
-    y: np.ndarray, p: int, covs: LagCovSet, lag0: EigenPairs, cfg: BicConfig, vartheta: float
+    y: np.ndarray, p: int, covs: LagCovSet, lag0: EigenPairs, cfg: EstimatorConfig
 ) -> BicTrace:
     """The q scan behind :func:`select_q`, run by :func:`~tsfactor.factor.estimate`
-    on a demeaned panel ``y`` with at least ``cfg.m`` lags in ``covs`` and
-    the full eigendecomposition ``lag0`` of ``covs.lag0``.  ``p`` counts
-    the series, which ``y`` holds in row-space coordinates when p > n."""
-    n = y.shape[0]
-    if cfg.q0 > min(p, n) - 1:
-        raise InvalidConfig(
-            f"q0={cfg.q0} must be at most min(p, n) - 1 = {min(p, n) - 1}"
-        )
-    w0 = _rank_q_weight(lag0, cfg.q0, n)
+    over the lags of ``covs`` of a demeaned panel ``y`` with the full
+    eigendecomposition ``lag0`` of ``covs.lag0``.  ``p`` counts the series,
+    which ``y`` holds in row-space coordinates when p > n."""
+    n, m = y.shape[0], covs.m
+    q0 = min(_Q_CAP, p - 1, n - m) if cfg.q0 is None else cfg.q0  # n - m: every q is solvable
+    if q0 > min(p, n) - 1:
+        raise InvalidConfig(f"q0={q0} must be at most min(p, n) - 1 = {min(p, n) - 1}")
+    vartheta = cfg.vartheta_scale * p / n
+    w0 = _rank_q_weight(lag0, q0, n)
     ys, f = _scaled(y)
-    lags = range(1, cfg.m + 1)
+    lags = range(1, m + 1)
     # Stacked over lags, on B_k = Omega(k) Q theta^{-1/2} scaled by 2^-e_k and the
     # design D_k = y[:n-k] Q on y scaled by 2^-f: G_k = B_k'B_k, D_k'D_k,
     # X_k = D_k'y[k:] B_k and ||y[k:]||^2.  Each candidate's objects are leading
@@ -148,16 +124,16 @@ def _scan(
         vals, vecs = np.linalg.eigh(grams[:, :q, :q])
         return select_r(_unscale(vals[:, ::-1], exps), n, vartheta, q - 1)[0], vals, vecs
 
-    r_bar, *at_ceiling = rank(cfg.q0)
-    candidates = tuple(range(r_bar + 1, cfg.q0 + 1))
+    r_bar, *at_ceiling = rank(q0)
+    candidates = tuple(range(r_bar + 1, q0 + 1))
 
     n_cand = len(candidates)
-    per_lag_bic = np.zeros((cfg.m, n_cand))
-    per_lag_L = np.zeros((cfg.m, n_cand))
-    per_lag_d = np.zeros((cfg.m, n_cand), dtype=int)
+    per_lag_bic = np.zeros((m, n_cand))
+    per_lag_L = np.zeros((m, n_cand))
+    per_lag_d = np.zeros((m, n_cand), dtype=int)
     r_hats = []
     for i, q in enumerate(candidates):
-        r_q, vals, vecs = (r_bar, *at_ceiling) if q == cfg.q0 else rank(q)
+        r_q, vals, vecs = (r_bar, *at_ceiling) if q == q0 else rank(q)
         r_hats.append(r_q)
         d = _param_count(p, q, r_q)
         if np.any(vals[:, -r_q] <= 0.0):
@@ -167,7 +143,7 @@ def _scan(
         resid = _lag_fit(designs[:, :q, :q], cross, head_sqs)[1]
         per_lag_L[:, i] = _unscale(resid / (p * n), f, "BIC residual mean")
         per_lag_d[:, i] = d
-        per_lag_bic[:, i] = [_bic_value(p, n, L, d, cfg.C) for L in per_lag_L[:, i]]
+        per_lag_bic[:, i] = [_bic_value(p, n, L, d, cfg.bic_c) for L in per_lag_L[:, i]]
     totals = per_lag_bic.sum(axis=0)
     q_hat = candidates[int(np.argmin(totals))]
     return BicTrace(

@@ -34,6 +34,13 @@ __all__ = [
 ]
 
 
+def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(x * 2**-e, e)``, e the binary exponent of ``max|x|``: exact, and the
+    copy's products cannot overflow or underflow first (Higham 2002, ch. 2)."""
+    e = int(np.frexp(np.abs(x).max(initial=0.0))[1])
+    return np.ldexp(x, -e), e
+
+
 def _as_float_matrix(data, what: str) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2:
@@ -85,8 +92,8 @@ class TimePanel:
             if not 1e-150 < std < np.inf:
                 # The squares inside std() left the normal range (data near
                 # 1e-200 give 0): take it on data scaled by a power of two.
-                e = int(np.frexp(np.abs(arr).max())[1])
-                std = float(np.ldexp(np.ldexp(arr, -e).std(axis=0).max(), e))
+                scaled, e = _scaled(arr)
+                std = float(np.ldexp(scaled.std(axis=0).max(), e))
             if np.abs(mu).max() > 1e-10 * std:
                 raise InvalidData("panel flagged demeaned but column means are not 0")
         arr = arr.copy()
@@ -215,10 +222,17 @@ def sample_autocov(panel: TimePanel, m: int) -> LagCovSet:
 
 def _lag0_eigen(panel: TimePanel) -> EigenPairs:
     """Full ``sym_eigen`` of a demeaned panel's lag-0 covariance, computed
-    once per panel and kept read-only; its leading slices equal
-    ``sym_eigen(lag0, d)`` bit for bit, since columns are signed one by one."""
+    once per panel and kept read-only.  It runs on the covariance scaled by
+    a power of two (:func:`_scaled`), which LAPACK leaves unscaled, so the
+    vectors do not depend on the data's scale and the values scale exactly."""
     if "lag0_eigen" not in panel._memo:
-        pairs = sym_eigen(sample_autocov(panel, 0).lag0, panel.p)
+        scaled, e = _scaled(sample_autocov(panel, 0).lag0)
+        pairs = sym_eigen(scaled, panel.p)
+        with np.errstate(over="ignore"):
+            values = np.ldexp(pairs.values, e)
+        if not np.isfinite(values).all():
+            raise InvalidData("lag-0 spectrum overflows: the data are too large")
+        pairs = EigenPairs(values=values, vectors=pairs.vectors)
         pairs.values.setflags(write=False)
         pairs.vectors.setflags(write=False)
         panel._memo["lag0_eigen"] = pairs

@@ -200,6 +200,25 @@ def test_spectra_scale_exactly_with_a_power_of_two(n, p, power):
             assert np.array_equal(got, np.ldexp(want, degree * power))
 
 
+@pytest.mark.parametrize("power", [250, 300, -300])
+def test_loadings_are_bit_identical_at_extreme_powers_of_two(power):
+    # the lag-0 eigendecomposition runs on the covariance scaled by a power
+    # of two: LAPACK rescales a matrix past about 1e145 by a factor that is
+    # not one, so cov and wauto used to round differently there
+    y = generate_uniform(SimulationSpec(model="uniform", p=100, n=300, r0=3), 0)[0].data
+    for cfg in (
+        EstimatorConfig(method="cov", r_fixed=2),
+        EstimatorConfig(method="wauto", q=5, r_fixed=2),
+        EstimatorConfig(method="wauto", r_fixed=2),
+    ):
+        base = estimate(TimePanel(y), cfg)
+        moved = estimate(TimePanel(np.ldexp(y, power)), cfg)
+        assert moved.q_used == base.q_used
+        assert np.array_equal(moved.A_hat, base.A_hat)
+        for got, want in zip(moved.H_hat or (), base.H_hat or (), strict=True):
+            assert np.array_equal(got, want)
+
+
 def record_decompositions(monkeypatch):
     """Orders of every ``svd``, ``eigh`` and ``eigvalsh`` call, by routine."""
     calls = {"svd": [], "eigh": [], "eigvalsh": []}

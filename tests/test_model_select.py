@@ -16,7 +16,7 @@ from tsfactor.factor import (
     select_r,
     weight_matrix,
 )
-from tsfactor.modelselect import BicConfig, _bic_value, _default_q0, _param_count, select_q
+from tsfactor.modelselect import _bic_value, _param_count, select_q
 from tsfactor.simulate import SimulationSpec, generate_two_strength, generate_uniform
 from tsfactor.tsstats import TimePanel, _fix_signs, demean, sample_autocov, subspace_distance
 
@@ -99,7 +99,7 @@ def test_bic_validates_arguments():
         bic_k(panel, k=1, q=3, r_hat=1, C=0.0)
 
 
-def explicit_scan(panel, cfg, vartheta_scale=0.1):
+def explicit_scan(panel, m, q0, C=0.2, vartheta_scale=0.1):
     """The q scan with every residual ``y[k:] - D H A'`` formed explicitly,
     in the coordinates the scan runs in (the row space when p > n): the
     oracle for the Gram-form kernel.  Returns the candidates, r_bar, the
@@ -108,17 +108,17 @@ def explicit_scan(panel, cfg, vartheta_scale=0.1):
     n, p = panel.n, panel.p
     _, rows = _row_space(panel)
     y = rows.data
-    covs = sample_autocov(rows, cfg.m)
-    w0 = weight_matrix(covs, cfg.q0)
+    covs = sample_autocov(rows, m)
+    w0 = weight_matrix(covs, q0)
     vartheta = vartheta_scale * p / n
     halves = [lag @ (w0.Q / np.sqrt(w0.theta)) for lag in covs.lags]
 
     def svds(q):
         return [np.linalg.svd(b[:, :q], full_matrices=False)[:2] for b in halves]
 
-    r_bar, _ = select_r([s**2 for _, s in svds(cfg.q0)], n, vartheta, cfg.q0 - 1)
-    candidates = tuple(range(r_bar + 1, cfg.q0 + 1))
-    per_lag_L = np.zeros((cfg.m, len(candidates)))
+    r_bar, _ = select_r([s**2 for _, s in svds(q0)], n, vartheta, q0 - 1)
+    candidates = tuple(range(r_bar + 1, q0 + 1))
+    per_lag_L = np.zeros((m, len(candidates)))
     totals = np.zeros(len(candidates))
     r_hats = []
     for i, q in enumerate(candidates):
@@ -131,7 +131,7 @@ def explicit_scan(panel, cfg, vartheta_scale=0.1):
             h = np.linalg.solve(design.T @ design, design.T @ (head @ a))
             resid = head - (design @ h) @ a.T
             per_lag_L[k - 1, i] = float(np.sum(resid**2)) / (p * n)
-            totals[i] += _bic_value(p, n, per_lag_L[k - 1, i], _param_count(p, q, r_q), cfg.C)
+            totals[i] += _bic_value(p, n, per_lag_L[k - 1, i], _param_count(p, q, r_q), C)
     return candidates, r_bar, tuple(r_hats), per_lag_L, candidates[int(np.argmin(totals))]
 
 
@@ -151,9 +151,10 @@ def _oracle_panels():
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("panel", [pytest.param(panel, id=name) for name, panel in _oracle_panels()])
 def test_gram_form_scan_matches_explicit_residuals(panel, m):
-    cfg = BicConfig(q0=_default_q0(panel.n, panel.p, m), m=m)
-    trace = estimate(panel, EstimatorConfig(method="wauto", m=m), bic=cfg).bic_trace
-    candidates, r_bar, r_hats, per_lag_L, q_hat = explicit_scan(panel, cfg)
+    trace = estimate(panel, EstimatorConfig(method="wauto", m=m)).bic_trace
+    # the default ceiling: below min(p, n) and within the n - m rows of the lag-m regression
+    q0 = min(15, panel.p - 1, panel.n - m)
+    candidates, r_bar, r_hats, per_lag_L, q_hat = explicit_scan(panel, m, q0)
     assert trace.candidates == candidates and trace.r_bar == r_bar
     assert trace.r_hat_per_candidate == r_hats
     assert np.abs(trace.per_lag_L - per_lag_L).max() <= 1e-12 * per_lag_L.min()
@@ -176,8 +177,8 @@ def test_rrr_objective_matches_explicit_residual():
 def test_select_q_trace_is_internally_consistent():
     rng = np.random.default_rng(233)
     panel = planted_panel(rng, n=150, p=12, r=2)
-    cfg = BicConfig(C=0.2, q0=8, m=2)
-    trace = select_q(panel, cfg, EstimatorConfig(method="wauto"))
+    cfg = EstimatorConfig(method="wauto", m=2, q0=8, bic_c=0.2)
+    trace = select_q(panel, cfg)
 
     assert trace.candidates == tuple(range(trace.r_bar + 1, 9))
     assert trace.q_hat in trace.candidates
@@ -189,19 +190,19 @@ def test_select_q_trace_is_internally_consistent():
     for k in range(cfg.m):
         for j in range(len(trace.candidates)):
             L, d = trace.per_lag_L[k, j], trace.per_lag_d[k, j]
-            expect = p * n * math.log(L) + cfg.C * d * math.log(p * n)
+            expect = p * n * math.log(L) + cfg.bic_c * d * math.log(p * n)
             assert trace.per_lag_bic[k, j] == pytest.approx(expect, rel=1e-10)
 
 
 def test_select_q_agrees_with_direct_bic_calls():
     rng = np.random.default_rng(239)
     panel = planted_panel(rng, n=150, p=12, r=2)
-    cfg = BicConfig(C=0.2, q0=8, m=2)
-    trace = select_q(panel, cfg, EstimatorConfig(method="wauto"))
+    cfg = EstimatorConfig(method="wauto", m=2, q0=8, bic_c=0.2)
+    trace = select_q(panel, cfg)
     for j, q in enumerate(trace.candidates):
         r_q = trace.r_hat_per_candidate[j]
         for k in range(1, cfg.m + 1):
-            direct = bic_k(panel, k=k, q=q, r_hat=r_q, C=cfg.C)
+            direct = bic_k(panel, k=k, q=q, r_hat=r_q, C=cfg.bic_c)
             assert trace.per_lag_bic[k - 1, j] == pytest.approx(direct, rel=1e-8)
 
 
@@ -210,7 +211,7 @@ def test_select_q_singleton_candidate_set():
     # single candidate q = 3 remains and must be selected.
     rng = np.random.default_rng(241)
     panel = planted_panel(rng, n=200, p=20, r=2, noise=0.2)
-    trace = select_q(panel, BicConfig(q0=3), EstimatorConfig(method="wauto"))
+    trace = select_q(panel, EstimatorConfig(method="wauto", q0=3))
     assert trace.r_bar == 2
     assert trace.candidates == (3,)
     assert trace.q_hat == 3
@@ -219,10 +220,9 @@ def test_select_q_singleton_candidate_set():
 def test_select_q_deterministic_rerun():
     rng = np.random.default_rng(251)
     panel = planted_panel(rng, n=120, p=10, r=1)
-    cfg = BicConfig(q0=6)
-    est = EstimatorConfig(method="wauto")
-    t1 = select_q(panel, cfg, est)
-    t2 = select_q(panel, cfg, est)
+    cfg = EstimatorConfig(method="wauto", q0=6)
+    t1 = select_q(panel, cfg)
+    t2 = select_q(panel, cfg)
     assert t1.candidates == t2.candidates
     assert t1.q_hat == t2.q_hat and t1.r_bar == t2.r_bar
     assert np.array_equal(t1.per_lag_bic, t2.per_lag_bic)
@@ -234,28 +234,39 @@ def test_select_q_rejects_oversized_ceiling():
     rng = np.random.default_rng(257)
     panel = planted_panel(rng, n=60, p=6, r=1)
     with pytest.raises(InvalidConfig):
-        select_q(panel, BicConfig(q0=6), EstimatorConfig(method="wauto"))
+        select_q(panel, EstimatorConfig(method="wauto", q0=6))
 
 
-def test_bicconfig_validation():
+def test_select_q_scans_the_fits_lags_up_to_the_fits_ceiling():
+    # one config: the scan sums BIC over the lags the fit aggregates, and
+    # its default ceiling min(15, p - 1, n - m) is the one estimate uses
+    panel = planted_panel(np.random.default_rng(271), n=200, p=10, r=2)
+    trace = select_q(panel, EstimatorConfig(method="wauto", m=3, q0=8))
+    assert trace.per_lag_bic.shape == (3, len(trace.candidates))
+    trace = select_q(panel, EstimatorConfig(method="wauto"))
+    assert trace.candidates[-1] == 9
+    assert trace.q_hat == estimate(panel, EstimatorConfig(method="wauto")).q_used
+
+
+def test_scan_settings_validation():
     with pytest.raises(InvalidConfig):
-        BicConfig(C=0.0)
+        EstimatorConfig(bic_c=0.0)
     with pytest.raises(InvalidConfig):
-        BicConfig(q0=2)
+        EstimatorConfig(q0=2)
     with pytest.raises(InvalidConfig):
-        BicConfig(m=0)
+        EstimatorConfig(m=0)
 
 
 def test_estimate_auto_q_uses_bic_choice():
     rng = np.random.default_rng(263)
     panel = planted_panel(rng, n=150, p=12, r=2)
     est_cfg = EstimatorConfig(method="wauto", m=2)
-    trace = select_q(panel, BicConfig(q0=min(15, 12 - 1), m=2), est_cfg)
+    trace = select_q(panel, dataclasses.replace(est_cfg, q0=min(15, 12 - 1)))
     fit = estimate(panel, est_cfg)
     assert fit.q_used == trace.q_hat
-    # and an explicit BicConfig is honored
-    fit2 = estimate(panel, est_cfg, bic=BicConfig(q0=5, m=2))
-    trace2 = select_q(panel, BicConfig(q0=5, m=2), est_cfg)
+    # and an explicit ceiling is honored
+    fit2 = estimate(panel, dataclasses.replace(est_cfg, q0=5))
+    trace2 = select_q(panel, dataclasses.replace(est_cfg, q0=5))
     assert fit2.q_used == trace2.q_hat
     # the fit carries the scan it ran, field for field
     for scanned, want in ((fit, trace), (fit2, trace2)):
@@ -281,6 +292,16 @@ def test_rrr_solution_is_scale_free_and_names_an_objective_that_overflows():
     # the lag products still fit at 1e152, but ||y[1:] - ...||^2 does not
     with pytest.raises(InvalidData, match="objective overflows: the data are too large$"):
         rrr_solution(TimePanel(1e152 * y), 1, 5, 2)
+
+
+def test_rrr_solution_names_a_lag0_spectrum_that_overflows():
+    # with p > n the p-by-p lag-0 covariance fits while its leading
+    # eigenvalue, near the trace, does not; numpy used to warn on the inf
+    y = np.random.default_rng(0).standard_normal((10, 400))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidData, match="lag-0 spectrum overflows: the data are too large$"):
+            rrr_solution(TimePanel(2e153 * y), 1, 3, 1)
 
 
 @pytest.mark.parametrize("q", ["auto", 5])

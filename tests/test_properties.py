@@ -2,7 +2,8 @@
 
 Permuting the series or flipping their signs only relabels the model, so
 every estimator must permute or flip the rows of its loadings and leave
-the factor count, the chosen q and the spectra unchanged.  A ``wauto``
+the factor count, the chosen q and the spectra unchanged.  Any rotation
+of the series rotates the loading space with it, to round-off.  A ``wauto``
 fit that selects q must equal the fit that fixes q at the selected value,
 bit for bit, because both run the same weight, spectra, rank and basis.
 Fits that share one panel's memoized moments equal fits on fresh
@@ -21,8 +22,14 @@ from hypothesis import strategies as st
 from tsfactor.errors import TsfactorError
 from tsfactor.factor import EstimatorConfig, estimate
 from tsfactor.matrixfactor import MatrixPanel, estimate_matrix
-from tsfactor.modelselect import BicConfig
-from tsfactor.tsstats import EigenPairs, LagCovSet, TimePanel, demean, sample_autocov
+from tsfactor.tsstats import (
+    EigenPairs,
+    LagCovSet,
+    TimePanel,
+    demean,
+    sample_autocov,
+    subspace_distance,
+)
 
 CONFIGS = (
     EstimatorConfig(method="cov"),
@@ -71,13 +78,27 @@ def test_relabelling_series_relabels_loading_rows(shape, data):
 
 
 @settings(max_examples=20)
-@given(panels, st.integers(1, 3), st.integers(0, 2))
-def test_selected_q_fit_equals_fixed_q_fit_bit_for_bit(shape, m, extra_bic_lags):
+@given(panels, st.data())
+def test_rotating_the_series_rotates_the_loading_space(shape, data):
+    seed, n, p = shape
+    y = factor_panel(seed, n, p)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rot, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    for cfg in CONFIGS:
+        base = estimate(TimePanel(y), cfg)
+        fit = estimate(TimePanel(y @ rot), cfg)
+        assert (fit.r_hat, fit.q_used) == (base.r_hat, base.q_used)
+        for s_base, s_fit in zip(base.eigenvalues_per_lag, fit.eigenvalues_per_lag, strict=True):
+            assert np.abs(s_fit - s_base).max() <= 1e-9 * s_base[0]
+        assert subspace_distance(fit.A_hat, rot.T @ base.A_hat) <= 1e-8
+
+
+@settings(max_examples=20)
+@given(panels, st.integers(1, 3))
+def test_selected_q_fit_equals_fixed_q_fit_bit_for_bit(shape, m):
     seed, n, p = shape
     panel = TimePanel(factor_panel(seed, n, p))
-    # the scan may use more lags than the fit; the shared pass covers both
-    bic = BicConfig(q0=min(15, p - 1), m=m + extra_bic_lags)
-    chosen = estimate(panel, EstimatorConfig(method="wauto", m=m), bic=bic)
+    chosen = estimate(panel, EstimatorConfig(method="wauto", m=m, q0=min(15, p - 1)))
     fixed = estimate(panel, EstimatorConfig(method="wauto", m=m, q=chosen.q_used))
     assert chosen.r_hat == fixed.r_hat
     assert np.array_equal(chosen.A_hat, fixed.A_hat)

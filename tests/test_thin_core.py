@@ -28,7 +28,7 @@ from tsfactor.factor import (
     weight_matrix,
 )
 from tsfactor.matrixfactor import MatrixPanel, estimate_matrix
-from tsfactor.modelselect import BicConfig, _default_q0, _scan, select_q
+from tsfactor.modelselect import _scan, select_q
 from tsfactor.simulate import SimulationSpec, generate_two_strength
 from tsfactor.tsstats import TimePanel, demean, sample_autocov, subspace_distance, sym_eigen
 
@@ -43,8 +43,7 @@ def dense_fit(y: np.ndarray, cfg: EstimatorConfig) -> dict:
     if cfg.method == "wauto":
         q = cfg.q
         if not isinstance(q, int):
-            bic = BicConfig(q0=_default_q0(n, p, cfg.m), m=cfg.m)
-            q = _scan(yc, p, covs, sym_eigen(covs.lag0, p), bic, cfg.vartheta_scale * p / n).q_hat
+            q = _scan(yc, p, covs, sym_eigen(covs.lag0, p), cfg).q_hat
         w = weight_matrix(covs, q)
     if cfg.method == "cov":
         pairs = sym_eigen(covs.lag0, p)
@@ -148,7 +147,8 @@ def test_thin_fit_matches_the_dense_route(name, config):
 class CoreCalls(list):
     """``(name, argument shape)`` of each ``sample_autocov`` and ``sym_eigen``
     call, with counts of thin QRs and of ``sym_eigen`` calls on a lag-0
-    covariance that ``sample_autocov`` returned."""
+    covariance that ``sample_autocov`` returned, or on its copy scaled by
+    ``2**-e``, e the binary exponent of its largest entry."""
 
     qr = 0
     lag0_eigen = 0
@@ -160,10 +160,14 @@ def record_core_calls(monkeypatch) -> CoreCalls:
     seen = CoreCalls()
     lag0s = []
 
+    def is_lag0(mat, lag0):
+        e = int(np.frexp(np.abs(lag0).max())[1])
+        return mat is lag0 or np.array_equal(mat, np.ldexp(lag0, -e))
+
     def recording(name, func):
         def wrapped(first, *args, **kwargs):
             seen.append((name, np.shape(getattr(first, "data", first))))
-            if name == "sym_eigen" and any(first is lag0 for lag0 in lag0s):
+            if name == "sym_eigen" and any(is_lag0(first, lag0) for lag0 in lag0s):
                 seen.lag0_eigen += 1
             out = func(first, *args, **kwargs)
             if name == "sample_autocov":
@@ -201,7 +205,7 @@ def test_select_q_forms_no_p_by_p_matrix(monkeypatch, tmp_path):
     src = tmp_path / "panel.csv"
     np.savetxt(src, y, delimiter=",", fmt="%.17g")
     seen = record_core_calls(monkeypatch)
-    trace = select_q(TimePanel(y), BicConfig(q0=10), EstimatorConfig(method="wauto"))
+    trace = select_q(TimePanel(y), EstimatorConfig(method="wauto", q0=10))
     assert trace.q_hat in trace.candidates
     assert {name for name, _ in seen} == {"sample_autocov", "sym_eigen"}
     assert max(max(shape) for _, shape in seen) == 50
