@@ -26,15 +26,15 @@ symmetric eigensolve of the smaller Gram of a half-product B_k with
 one thin SVD of the stacked ``[B_1 ... B_m]``.  Grams are formed on data
 scaled by a power of two, so they overflow no sooner than the lag products.
 
-When p > n, :func:`estimate` runs in the panel's n-dimensional row space:
-it fits the n-by-n scores Z of a thin QR ``y' = V Z'``, since
-``Omega(k) = V Omega_Z(k) V'``, and lifts the basis back with V.  The
-numbers agree with the p-by-p route to round-off.  :func:`estimate` is
-the one entry to the q scan: a ``wauto`` fit with ``q="auto"`` scans on
-its config's ``m``, ``q0`` and ``bic_c`` and records the scan's
-:class:`~tsfactor.modelselect.BicTrace` as ``FactorFit.bic_trace``, and
-:func:`~tsfactor.modelselect.select_q` and ``tsfactor select-q`` read it
-from there, so they run in the row space too.
+When p > n, :func:`estimate` and :func:`rrr_solution` run in the panel's
+n-dimensional row space: they fit the n-by-n scores Z of a thin QR
+``y' = V Z'``, since ``Omega(k) = V Omega_Z(k) V'``, and lift the basis
+back with V.  The numbers agree with the p-by-p route to round-off.
+:func:`estimate` is the one entry to the q scan: a ``wauto`` fit with
+``q="auto"`` scans on its config's ``m``, ``q0`` and ``bic_c`` and
+records the scan's :class:`~tsfactor.modelselect.BicTrace` as
+``FactorFit.bic_trace``, and :func:`~tsfactor.modelselect.select_q` and
+``tsfactor select-q`` read it from there, so they run in the row space too.
 """
 
 from __future__ import annotations
@@ -399,6 +399,18 @@ def _row_space(panel: TimePanel) -> tuple[Optional[np.ndarray], TimePanel]:
     return panel._memo["row_space"]
 
 
+def _lifted(
+    v: Optional[np.ndarray], a: np.ndarray, w: Optional[WeightMatrix]
+) -> tuple[np.ndarray, Optional[WeightMatrix]]:
+    """A basis and weight fitted on row-space scores, back in p coordinates
+    and signed as a p-by-p fit signs them; unchanged when ``v`` is None."""
+    if v is None:
+        return a, w
+    if w is not None:
+        w = WeightMatrix(Q=_fix_signs(v @ w.Q), theta=w.theta, q=w.q)
+    return _fix_signs(v @ a), w
+
+
 def estimate(panel: TimePanel, cfg: EstimatorConfig) -> FactorFit:
     """Estimate the loading space and factor count of a panel.
 
@@ -464,10 +476,7 @@ def estimate(panel: TimePanel, cfg: EstimatorConfig) -> FactorFit:
     else:  # [B_1 ... B_m] [B_1 ... B_m]' is the weighted m_hat
         stacked = np.hstack([_half_weighted(lag, w) for lag in covs.lags])
         a = _fix_signs(np.linalg.svd(stacked, full_matrices=False)[0][:, :r])
-    if v is not None:  # back to p coordinates, signed as a p-by-p fit signs them
-        a = _fix_signs(v @ a)
-        if w is not None:
-            w = WeightMatrix(Q=_fix_signs(v @ w.Q), theta=w.theta, q=w.q)
+    a, w = _lifted(v, a, w)
     ys = None if w is None else _scaled(y)[0]  # H does not depend on y's scale
     h_hat = None if w is None else tuple(
         _lag_fit(*_gram_cross(ys[: n - k] @ w.Q, ys[k:] @ a), 0.0)[0] for k in range(1, cfg.m + 1)
@@ -536,10 +545,11 @@ def rrr_solution(
         raise InvalidConfig(
             f"need 1 <= r <= q <= min(p, n-k) = {min(p, n - k)}, got r={r}, q={q}"
         )
-    covs = sample_autocov(panel, k)
-    w = _rank_q_weight(_lag0_eigen(panel), q, n)
-    u, _, _ = np.linalg.svd(_half_weighted(covs.lags[k - 1], w), full_matrices=False)
-    a = _fix_signs(u[:, :r])
+    v, rows = _row_space(panel)
+    w = _rank_q_weight(_lag0_eigen(rows), q, n)
+    lag = sample_autocov(rows, k).lags[k - 1]
+    u, _, _ = np.linalg.svd(_half_weighted(lag, w), full_matrices=False)
+    a, w = _lifted(v, _fix_signs(u[:, :r]), w)
     y, e = _scaled(panel.data)  # H is invariant to the scale; the objective scales by 4**e
     h, objective = _lag_fit(*_gram_cross(y[: n - k] @ w.Q, y[k:] @ a), float(np.sum(y[k:] ** 2)))
     return a, h, float(_unscale(objective, e, "rank-r regression objective"))

@@ -13,6 +13,12 @@ form on the zero-padded lag design; an order with an MA part starts from
 the Hannan-Rissanen two-stage regression and is refined by
 Levenberg-Marquardt.  Everything here is deterministic; no random
 numbers are drawn.
+
+scipy is imported only where an order with an MA part is fitted or
+filtered: :func:`least_squares` and :func:`_css_residuals` import it on
+their first call.  A pure AR order takes its residuals from its own lag
+design, so AR-only fits and forecasts, and ``import tsfactor``, never
+load scipy.
 """
 
 from __future__ import annotations
@@ -22,8 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.signal import lfilter
 
 from .errors import InvalidConfig, InvalidData, PreconditionViolated, TsfactorError
 from .factor import EstimatorConfig, _method_labels, estimate
@@ -87,10 +91,18 @@ def _roots_outside_unit_circle(coeffs) -> bool:
     return bool(np.all(np.abs(roots) > 1.0 - _ROOT_TOL))
 
 
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on the first call."""
+    from scipy.optimize import least_squares
+
+    return least_squares(*args, **kwargs)
+
+
 def _css_residuals(z: np.ndarray, ar: np.ndarray, ma: np.ndarray) -> np.ndarray:
-    """Conditional residuals with zero presample observations and shocks."""
-    if ar.size == 0 and ma.size == 0:
-        return z.copy()
+    """Conditional residuals of an order with an MA part, with zero
+    presample observations and shocks."""
+    from scipy.signal import lfilter
+
     eps = lfilter(np.r_[1.0, -ar], np.r_[1.0, ma], z)
     return np.nan_to_num(eps, nan=1e6, posinf=1e6, neginf=-1e6)
 
@@ -111,13 +123,15 @@ def _hannan_rissanen_start(z: np.ndarray, p: int, q: int) -> np.ndarray:
     return np.clip(x0, -0.99, 0.99)
 
 
-def _ar_css(z: np.ndarray, p: int) -> np.ndarray:
+def _ar_css(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """AR(p) coefficients minimizing the zero-presample conditional sum of
-    squares: the least-squares fit of z on its lags, zero-padded at the start."""
+    squares, and their residuals: the least-squares fit of z on its lags,
+    zero-padded at the start."""
     design = np.zeros((z.size, p))
     for k in range(1, p + 1):
         design[k:, k - 1] = z[:-k]
-    return np.linalg.lstsq(design, z, rcond=None)[0]
+    coeffs = np.linalg.lstsq(design, z, rcond=None)[0]
+    return coeffs, z - design @ coeffs
 
 
 def _has_common_root(ar: np.ndarray, ma: np.ndarray, tol: float = 0.12) -> bool:
@@ -168,12 +182,15 @@ def fit_arma(series, max_ar: int = 3, max_ma: int = 3) -> ArmaFit:
                 ar = np.empty(0)
                 ma = np.empty(0)
             else:
-                x = _ar_css(z, p) if q == 0 else least_squares(
-                    lambda v: _css_residuals(z, v[:p], v[p:]),
-                    _hannan_rissanen_start(z, p, q),
-                    method="lm",
-                    max_nfev=300,
-                ).x
+                if q == 0:
+                    x, eps = _ar_css(z, p)
+                else:
+                    x = least_squares(
+                        lambda v: _css_residuals(z, v[:p], v[p:]),
+                        _hannan_rissanen_start(z, p, q),
+                        method="lm",
+                        max_nfev=300,
+                    ).x
                 ar, ma = x[:p], x[p:]
                 if not (
                     _roots_outside_unit_circle(ar)
@@ -187,7 +204,8 @@ def fit_arma(series, max_ar: int = 3, max_ma: int = 3) -> ArmaFit:
                     continue
                 if _has_common_root(ar, ma):
                     continue
-                eps = _css_residuals(z, ar, ma)
+                if q:
+                    eps = _css_residuals(z, ar, ma)
             sigma2 = float(np.mean(eps**2))
             if not np.isfinite(sigma2) or sigma2 < 1e-300:
                 continue

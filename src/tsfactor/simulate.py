@@ -14,6 +14,9 @@ Two synthetic designs are provided:
 Replications are seeded as ``SeedSequence((base_seed, run_index))`` on
 the PCG64 generator, so any run can be regenerated in isolation.  They
 run one after another in index order on the calling thread.
+
+The AR(1) factor paths run through ``scipy.signal.lfilter``, which is
+imported in :func:`_ar1` when the first path is drawn.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InvalidConfig, TsfactorError
 from .factor import EstimatorConfig, _method_labels, estimate
@@ -172,6 +174,8 @@ def _uniform_loading(rng: np.random.Generator, p: int, r: int, delta: float) -> 
 def _ar1(rng: np.random.Generator, total: int, coeffs: np.ndarray, scale: float) -> np.ndarray:
     """AR(1) components started at their stationary marginal, one linear
     filter per component; the filter runs the recursion bit for bit."""
+    from scipy.signal import lfilter
+
     r = coeffs.shape[0]
     innov = scale * rng.standard_normal((total, r))
     out = np.empty((total, r))

@@ -89,6 +89,46 @@ def test_pure_ar_orders_are_fitted_in_closed_form(monkeypatch):
         assert fit.innovation_variance == pytest.approx(np.mean((z - design @ oracle) ** 2), rel=1e-10)
 
 
+def stationary_series(seed, p, q=0):
+    """Seeded ARMA(p, q) series of 30 to 799 points with mean 2; ``sum |ar|
+    < 0.95`` keeps every AR root outside the unit circle."""
+    from scipy.signal import lfilter
+
+    rng = np.random.default_rng(seed)
+    ar = rng.uniform(-1.0, 1.0, p)
+    ar *= rng.uniform(0.0, 0.95) / max(np.abs(ar).sum(), 1e-9)
+    ma = rng.uniform(-0.8, 0.8, q)
+    n = int(rng.integers(30, 800))
+    return lfilter(np.r_[1.0, ma], np.r_[1.0, -ar], rng.standard_normal(n)) + 2.0
+
+
+def test_ar_residuals_are_the_lag_designs_and_match_the_filter():
+    # scipy's filter is the oracle: it ran the AR residuals before the
+    # lag design took over, bit for bit at order 1, to round-off above
+    from scipy.signal import lfilter
+
+    for s in range(300):
+        y = stationary_series(900 + s, 3)
+        z = y - np.mean(y)
+        for p in (1, 2, 3):
+            coeffs, eps = tsfactor.forecast._ar_css(z, p)
+            want = lfilter(np.r_[1.0, -coeffs], [1.0], z)
+            if p == 1:
+                assert np.array_equal(eps, want)
+            sigma2, want_sigma2 = np.mean(eps**2), np.mean(want**2)
+            assert abs(sigma2 - want_sigma2) <= 1e-15 * want_sigma2
+
+
+def test_default_grid_orders_are_unchanged():
+    # the orders fit_arma chose on these series when every candidate's
+    # residuals came from the filter
+    chosen = [fit_arma(stationary_series(s, s % 3, (s // 3) % 3)).order for s in range(16)]
+    assert chosen == [
+        (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (1, 2), (0, 2), (1, 2),
+        (3, 0), (0, 0), (1, 0), (0, 3), (0, 1), (1, 1), (2, 1), (1, 1),
+    ]
+
+
 def test_ar1_full_grid_usually_recovers_the_coefficient():
     # AIC keeps a small overfitting probability by design, so ask for a
     # clear majority rather than unanimity.

@@ -1,6 +1,7 @@
 """CSV ingestion, artifact serialization, and command-line behavior."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -655,6 +656,67 @@ def test_console_script_runs_end_to_end(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "monte carlo study" in proc.stdout
     assert (out / "trace.kv").exists()
+
+
+def run_python(code_or_args, tmp_path):
+    """A fresh interpreter on this tsfactor: ``-c code`` for a string, else
+    the arguments; returns the finished process."""
+    src = str(Path(tsfactor.io.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    args = ["-c", code_or_args] if isinstance(code_or_args, str) else code_or_args
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+
+
+def test_import_tsfactor_loads_no_scipy(tmp_path):
+    proc = run_python(
+        "import sys, tsfactor, tsfactor.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_fit_commands_and_an_ar_only_forecast_run_without_scipy(tmp_path):
+    write_panel_csv(tmp_path / "panel.csv")
+    write_matrix_csv(tmp_path / "matrix.csv")
+    proc = run_python(
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+        "import numpy as np\n"
+        "from tsfactor import EstimatorConfig, TimePanel, expanding_window_eval, fit_arma\n"
+        "from tsfactor.cli import run\n"
+        "codes = [run(['estimate', 'panel.csv', '--out', 'e']),\n"
+        "         run(['select-q', 'panel.csv', '--out', 's']),\n"
+        "         run(['matrix-estimate', 'matrix.csv', '--out', 'm'])]\n"
+        "y = np.random.default_rng(0).standard_normal((60, 6))\n"
+        "report = expanding_window_eval(TimePanel(y), (EstimatorConfig(method='cov'),),\n"
+        "                               r_hat=1, h=1, n1=50, max_ar=2, max_ma=0)\n"
+        "try:\n"
+        "    fit_arma(y[:, 0], max_ar=0, max_ma=1)\n"
+        "    ma = 'fitted'\n"
+        "except ImportError:\n"
+        "    ma = 'needs scipy'\n"
+        "print(codes, report.results[0].n_failed, len(report.origins), ma)\n",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the last check shows that the blocked import is in force
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] 0 10 needs scipy"
+
+
+def test_python_m_tsfactor_matches_an_in_process_run(tmp_path):
+    write_panel_csv(tmp_path / "panel.csv", p=20, n=120)
+    proc = run_python(["-m", "tsfactor", "estimate", "panel.csv", "--out", "sub"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert run(["estimate", str(tmp_path / "panel.csv"), "--out", str(tmp_path / "own")]) == 0
+    names = sorted(path.name for path in (tmp_path / "own").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "sub").iterdir())
+    for name in names:
+        assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "own" / name).read_bytes()
 
 
 def test_default_q_ceiling_fits_a_short_wide_panel(tmp_path):

@@ -296,11 +296,13 @@ def test_rrr_solution_is_scale_free_and_names_an_objective_that_overflows():
 
 def test_rrr_solution_names_a_lag0_spectrum_that_overflows():
     # with p > n the p-by-p lag-0 covariance fits while its leading
-    # eigenvalue, near the trace, does not; numpy used to warn on the inf
+    # eigenvalue, near the trace, does not; numpy used to warn on the inf.
+    # The fit runs on the n-by-n row-space scores, whose lag-0 covariance
+    # carries that trace on its diagonal and overflows first.
     y = np.random.default_rng(0).standard_normal((10, 400))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InvalidData, match="lag-0 spectrum overflows: the data are too large$"):
+        with pytest.raises(InvalidData, match="lag-0 autocovariance overflows: the data are too large$"):
             rrr_solution(TimePanel(2e153 * y), 1, 3, 1)
 
 

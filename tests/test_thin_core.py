@@ -25,12 +25,20 @@ from tsfactor.factor import (
     estimate,
     m_hat,
     per_lag_spectra,
+    rrr_solution,
     weight_matrix,
 )
 from tsfactor.matrixfactor import MatrixPanel, estimate_matrix
 from tsfactor.modelselect import _scan, select_q
 from tsfactor.simulate import SimulationSpec, generate_two_strength
-from tsfactor.tsstats import TimePanel, demean, sample_autocov, subspace_distance, sym_eigen
+from tsfactor.tsstats import (
+    TimePanel,
+    _fix_signs,
+    demean,
+    sample_autocov,
+    subspace_distance,
+    sym_eigen,
+)
 
 
 def dense_fit(y: np.ndarray, cfg: EstimatorConfig) -> dict:
@@ -213,6 +221,35 @@ def test_select_q_forms_no_p_by_p_matrix(monkeypatch, tmp_path):
     assert run(["select-q", str(src), "--q0", "10", "--out", str(tmp_path / "out")]) == 0
     assert {name for name, _ in seen} == {"sample_autocov", "sym_eigen"}
     assert max(max(shape) for _, shape in seen) == 50
+
+
+def dense_rrr(y: np.ndarray, k: int, q: int, r: int):
+    """``rrr_solution`` on p-by-p matrices: ``(A, H, objective)``."""
+    n = y.shape[0]
+    yc = y - y.mean(axis=0)
+    lag0 = yc.T @ yc / n
+    lag = yc[k:].T @ yc[: n - k] / (n - k)
+    vals, vecs = np.linalg.eigh(lag0)
+    q_cols = _fix_signs(vecs[:, ::-1][:, :q])
+    half = lag @ q_cols / np.sqrt(vals[::-1][:q])
+    a = _fix_signs(np.linalg.svd(half, full_matrices=False)[0][:, :r])
+    design = yc[: n - k] @ q_cols
+    h = np.linalg.lstsq(design, yc[k:] @ a, rcond=None)[0]
+    return a, h, float(np.sum((yc[k:] - design @ h @ a.T) ** 2))
+
+
+@pytest.mark.parametrize("k, q, r", [(1, 5, 2), (2, 6, 1), (3, 10, 4)])
+def test_rrr_solution_forms_no_p_by_p_matrix(monkeypatch, k, q, r):
+    y = ar_panel(4, 50, 200)
+    seen = record_core_calls(monkeypatch)
+    a, h, objective = rrr_solution(TimePanel(y), k, q, r)
+    assert {name for name, _ in seen} == {"sample_autocov", "sym_eigen"}
+    assert max(max(shape) for _, shape in seen) == 50
+    want_a, want_h, want_objective = dense_rrr(y, k, q, r)
+    assert a.shape == want_a.shape and h.shape == want_h.shape
+    assert subspace_distance(a, want_a) <= 1e-10
+    assert relative_gap(h, want_h) <= 1e-10
+    assert objective == pytest.approx(want_objective, rel=1e-10)
 
 
 @pytest.mark.parametrize("n, p", [(50, 200), (80, 20)])
