@@ -336,11 +336,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         noise_scale=args.noise_scale,
     )
     report_obj = run_monte_carlo(spec, threads=1 if args.threads is None else args.threads)
-    delta1_text = fmt_float(spec.delta0 if spec.delta1 is None else spec.delta1)
     lines = [
         "monte carlo study",
         f"model={spec.model}  p={spec.p}  n={spec.n}  r0={spec.r0}  r1={spec.r1}",
-        f"delta0={fmt_float(spec.delta0)}  delta1={delta1_text}  "
+        f"delta0={fmt_float(spec.delta0)}  delta1={fmt_float(spec.delta1)}  "
         f"runs={spec.n_runs}  seed={spec.base_seed}",
         "method  freq_correct  mean_r_hat  mean_distance  sd_distance  failed",
     ]
@@ -370,7 +369,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ("r0", spec.r0),
         ("r1", spec.r1),
         ("delta0", spec.delta0),
-        ("delta1", spec.delta0 if spec.delta1 is None else spec.delta1),
+        ("delta1", spec.delta1),
         ("noise_scale", spec.noise_scale),
         ("runs", spec.n_runs),
         ("seed", spec.base_seed),

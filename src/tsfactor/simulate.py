@@ -15,8 +15,9 @@ Replications are seeded as ``SeedSequence((base_seed, run_index))`` on
 the PCG64 generator, so any run can be regenerated in isolation.  They
 run one after another in index order on the calling thread.
 
-The AR(1) factor paths run through ``scipy.signal.lfilter``, which is
-imported in :func:`_ar1` when the first path is drawn.
+The designs need numpy alone: the AR(1) factor paths run their
+recursion over Python floats in :func:`_ar1`, so a study never loads
+scipy.
 """
 
 from __future__ import annotations
@@ -172,16 +173,21 @@ def _uniform_loading(rng: np.random.Generator, p: int, r: int, delta: float) -> 
 
 
 def _ar1(rng: np.random.Generator, total: int, coeffs: np.ndarray, scale: float) -> np.ndarray:
-    """AR(1) components started at their stationary marginal, one linear
-    filter per component; the filter runs the recursion bit for bit."""
-    from scipy.signal import lfilter
-
+    """AR(1) components ``x_t = shock_t + phi * x_{t-1}`` from their
+    stationary marginal; all shocks are drawn before the initial state.
+    The recursion runs over Python floats, which round the product and
+    the sum separately, so each path is the exact recursion and matches
+    a first-order linear filter bit for bit."""
     r = coeffs.shape[0]
     innov = scale * rng.standard_normal((total, r))
     out = np.empty((total, r))
     out[0] = scale * rng.standard_normal(r) / np.sqrt(1.0 - coeffs**2)
-    for j, phi in enumerate(coeffs):
-        out[1:, j] = lfilter([1.0], [1.0, -phi], innov[1:, j], zi=[phi * out[0, j]])[0]
+    for j, (phi, prev) in enumerate(zip(coeffs.tolist(), out[0].tolist())):
+        path = []
+        for shock in innov[1:, j].tolist():
+            prev = shock + phi * prev
+            path.append(prev)
+        out[1:, j] = path
     return out
 
 
@@ -206,8 +212,8 @@ def generate_uniform(spec: SimulationSpec, seed) -> tuple[TimePanel, np.ndarray]
     """One panel from the single-strength design.
 
     Draw order (fixed for reproducibility): loading entries; AR
-    coefficient magnitudes then signs; factor innovations (initial
-    state, then shocks); MA coefficient magnitudes then signs; noise
+    coefficient magnitudes then signs; factor innovations (shocks,
+    then initial state); MA coefficient magnitudes then signs; noise
     shocks.  The idiosyncratic term is ``e_t = Pi eps_t`` with the
     cross-sectional smoothing kernel ``Pi = (0.6**|i-j|)`` applied to
     per-component MA(1) series ``eps``: components of ``e`` carry both

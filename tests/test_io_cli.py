@@ -708,6 +708,41 @@ def test_fit_commands_and_an_ar_only_forecast_run_without_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] 0 10 needs scipy"
 
 
+def test_simulate_runs_without_scipy_and_loads_none(tmp_path):
+    study = (
+        "from tsfactor import SimulationSpec, run_monte_carlo\n"
+        "from tsfactor.cli import run\n"
+        "out = []\n"
+        "for model, r1 in (('uniform', 0), ('twostrength', 2)):\n"
+        "    spec = SimulationSpec(model=model, p=15, n=60, r0=2, r1=r1, n_runs=2, base_seed=4)\n"
+        "    out.append(sum(s.n_success for s in run_monte_carlo(spec).summaries))\n"
+        "    out.append(run(['simulate', '--model', model, '--p', '15', '--n', '60',\n"
+        "                    '--runs', '2', '--seed', '4', '--out', model]))\n"
+    )
+    blocked = run_python(
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+        + study
+        + "try:\n"
+        "    import scipy.signal\n"
+        "    blocked = 'scipy loads'\n"
+        "except ImportError:\n"
+        "    blocked = 'scipy blocked'\n"
+        "print(out, blocked)\n",
+        tmp_path,
+    )
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout.splitlines()[-1] == "[6, 0, 6, 0] scipy blocked"
+    plain = run_python(
+        "import sys\n"
+        + study
+        + "print(out, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n",
+        tmp_path,
+    )
+    assert plain.returncode == 0, plain.stderr
+    assert plain.stdout.splitlines()[-1] == "[6, 0, 6, 0] []"
+
+
 def test_python_m_tsfactor_matches_an_in_process_run(tmp_path):
     write_panel_csv(tmp_path / "panel.csv", p=20, n=120)
     proc = run_python(["-m", "tsfactor", "estimate", "panel.csv", "--out", "sub"], tmp_path)

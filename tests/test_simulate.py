@@ -330,3 +330,22 @@ def test_ar1_filter_runs_the_recursion_bit_for_bit(scale):
     for t in range(1, 500):
         want[t] = coeffs * want[t - 1] + innov[t]
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, scale", [(0.7, 0.95, 1.0), (0.85, 0.95, 0.2)], ids=["uniform", "twostrength"]
+)
+def test_ar1_matches_a_first_order_linear_filter_bit_for_bit(lo, hi, scale):
+    from scipy.signal import lfilter
+
+    coeff_rng = np.random.default_rng(11)
+    for k in range(1000):
+        coeffs = _signed_uniform(coeff_rng, lo, hi, 3)  # each with a random sign
+        got = _ar1(np.random.default_rng(k), 500, coeffs, scale)
+        rng = np.random.default_rng(k)  # the same draws: shocks, then the start
+        innov = scale * rng.standard_normal((500, 3))
+        start = scale * rng.standard_normal(3) / np.sqrt(1.0 - coeffs**2)
+        for j, phi in enumerate(coeffs):
+            want = lfilter([1.0], [1.0, -phi], innov[1:, j], zi=[phi * start[j]])[0]
+            assert got[0, j] == start[j]
+            assert np.array_equal(got[1:, j], want), (k, j)
