@@ -146,12 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_forecast)
 
     p = add("matrix-estimate", "row/column loading spaces of a matrix series", True)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=int, default=_FIT.m)
     p.add_argument("--q1", type=int, default=None)
     p.add_argument("--q2", type=int, default=None)
     p.add_argument("--d1", type=int, default=None)
     p.add_argument("--d2", type=int, default=None)
-    p.add_argument("--vartheta-scale", type=float, default=0.1)
+    p.add_argument("--vartheta-scale", type=float, default=_FIT.vartheta_scale)
     p.set_defaults(func=_cmd_matrix)
 
     return parser

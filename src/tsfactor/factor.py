@@ -23,8 +23,8 @@ lag-regression kernel, in Gram form, serves :func:`rrr_solution`, the
 BIC scan and the ``wauto`` coefficients ``H_hat``.  Each spectrum is one
 symmetric eigensolve of the smaller Gram of a half-product B_k with
 ``B_k B_k' = Omega(k) W Omega(k)'``; the ``wauto`` basis is the top of
-one thin SVD of the stacked ``[B_1 ... B_m]``.  Grams are formed on data
-scaled by a power of two, so they overflow no sooner than the lag products.
+one thin SVD of the stacked ``[B_1 ... B_m]``.  Every moment is formed on the
+panel scaled by a power of two, which is exact (Higham 2002, ch. 2).
 
 When p > n, :func:`estimate` and :func:`rrr_solution` run in the panel's
 n-dimensional row space: they fit the n-by-n scores Z of a thin QR
@@ -58,6 +58,7 @@ from .tsstats import (
     LagCovSet,
     TimePanel,
     _fix_signs,
+    _in_units,
     _lag0_eigen,
     _scaled,
     demean,
@@ -263,35 +264,17 @@ def _half_weighted(lag: np.ndarray, W: Optional[WeightMatrix]) -> np.ndarray:
     return lag @ (W.Q / np.sqrt(W.theta))
 
 
-def _small_gram(b: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(G, e)``, G the smaller Gram (``B'B`` or ``BB'``) of ``B = b * 2**-e``;
-    G's eigenvalues times ``4**e`` are b's squared singular values."""
-    s, e = _scaled(b)
-    return (s.T @ s if s.shape[1] < s.shape[0] else s @ s.T), e
-
-
-def _unscale(values, e: int, what: str = "per-lag spectrum"):
-    """``max(values, 0) * 4**e``; an overflow raises ``InvalidData`` naming ``what``."""
-    with np.errstate(over="ignore"):
-        out = np.ldexp(np.maximum(values, 0.0), 2 * e)
-    if not np.isfinite(out).all():
-        raise InvalidData(f"{what} overflows: the data are too large")
-    return out
-
-
 def per_lag_spectra(covs: LagCovSet, W: Optional[WeightMatrix] = None) -> list[np.ndarray]:
     """Descending eigenvalues of ``Omega(k) W Omega(k)'`` for each lag k = 1..m.
 
     With a weight matrix the spectrum is truncated to its q possibly
     nonzero values; without one it has all p values.  They are the
     eigenvalues, clamped at 0, of the smaller Gram of the half-product
-    ``B = Omega(k) Q theta^{-1/2}`` (q by q; ``Omega(k) Omega(k)'`` with
-    no weight), formed on B scaled by a power of two and scaled back.  A
-    value that overflows raises ``InvalidData``: the unweighted spectra
-    carry the data's scale to the fourth power.
+    ``B = Omega(k) Q theta^{-1/2}`` (``Omega(k) Omega(k)'`` with no weight).
     """
-    grams = [_small_gram(_half_weighted(lag, W)) for lag in covs.lags]
-    return [_unscale(np.linalg.eigvalsh(gram)[::-1], e) for gram, e in grams]
+    halves = [_half_weighted(lag, W) for lag in covs.lags]
+    grams = [b.T @ b if b.shape[1] < b.shape[0] else b @ b.T for b in halves]
+    return [np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0) for gram in grams]
 
 
 def select_r(
@@ -387,16 +370,29 @@ def _choose_rank(ranked: np.ndarray, vartheta: float, bound: int, r_fixed: Optio
     return (r_sel if r_fixed is None else r_fixed), ratios
 
 
-def _row_space(panel: TimePanel) -> tuple[Optional[np.ndarray], TimePanel]:
-    """``(V, scores)`` of a demeaned panel with p > n, from one thin QR
-    ``y' = V Z'`` kept on the panel, else ``(None, panel)``."""
-    if panel.p <= panel.n:
-        return None, panel  # never stored: the memo must not refer to its panel
-    if "row_space" not in panel._memo:
-        v, tri = np.linalg.qr(panel.data.T)
-        v.setflags(write=False)
-        panel._memo["row_space"] = (v, TimePanel(tri.T, demeaned=True))
-    return panel._memo["row_space"]
+def _row_space(panel: TimePanel) -> tuple[Optional[np.ndarray], TimePanel, int]:
+    """``(V, rows, e)``, kept on a demeaned panel y: rows holds ``y * 2**-e``,
+    e the binary exponent of ``max|y|``, or when p > n the scores Z of one
+    thin QR ``y' 2**-e = V Z'``; V is None when p <= n."""
+    if "normalized" not in panel._memo:
+        ys, e = _scaled(panel.data)
+        memo = {"exponent": np.int64(e)}  # a numpy scalar: read-only, as memo entries are
+        if panel.p > panel.n:
+            memo["basis"], tri = np.linalg.qr(ys.T)
+            memo["basis"].setflags(write=False)
+            ys = np.ascontiguousarray(tri.T)
+        ys.setflags(write=False)
+        rows = object.__new__(TimePanel)  # demeaned by construction: neither checked nor copied
+        vars(rows).update(data=ys, names=None, demeaned=True, _memo=memo)
+        panel._memo["normalized"] = rows
+    rows = panel._memo["normalized"]
+    return rows._memo.get("basis"), rows, int(rows._memo["exponent"])
+
+
+def _normalized(panel: TimePanel) -> tuple[np.ndarray, int]:
+    """``(y * 2**-e, e)`` of a demeaned panel: the memo's copy when p <= n."""
+    _, rows, e = _row_space(panel) if panel.p <= panel.n else (None, None, None)
+    return _scaled(panel.data) if rows is None else (rows.data, e)
 
 
 def _lifted(
@@ -438,8 +434,7 @@ def estimate(panel: TimePanel, cfg: EstimatorConfig) -> FactorFit:
         raise InvalidConfig(
             f"q={cfg.q} exceeds n - m = {n - cfg.m}, the rows of the lag-{cfg.m} regression"
         )
-    y = panel.data
-    v, rows = _row_space(panel)
+    v, rows, e = _row_space(panel)
     lag0 = None if cfg.method == "auto" else _lag0_eigen(rows)
 
     w, trace = None, None
@@ -448,7 +443,7 @@ def estimate(panel: TimePanel, cfg: EstimatorConfig) -> FactorFit:
         if not isinstance(q, int):
             from .modelselect import _scan
 
-            trace = _scan(rows.data, p, sample_autocov(rows, cfg.m), lag0, cfg)
+            trace = _scan(rows, p, e, cfg)
             q = trace.q_hat
         w = _rank_q_weight(lag0, q, n)
 
@@ -457,15 +452,17 @@ def estimate(panel: TimePanel, cfg: EstimatorConfig) -> FactorFit:
     else:
         covs = sample_autocov(rows, cfg.m)
         if w is None and cfg.m == 1:  # the one lag's Gram is m_hat: one eigensolve for both
-            gram, e = _small_gram(covs.lags[0])
-            pairs = sym_eigen(gram, gram.shape[0])
-            spectra = (_unscale(pairs.values, e),)
+            pairs = sym_eigen(covs.lags[0] @ covs.lags[0].T, rows.p)
+            spectra = (np.maximum(pairs.values, 0.0),)
         else:
             spectra = tuple(per_lag_spectra(covs, w))
         vartheta = cfg.vartheta_scale * (p / n) ** 2 if w is None else cfg.vartheta_scale * p / n
     if w is None:  # exact zeros for the p - n directions outside the row space; np.pad copies
         spectra = tuple(np.pad(s, (0, p - s.size)) for s in spectra)
-    ranked = spectra[0] if cfg.method == "cov" else _lag_weighted(spectra, n)
+    # auto's spectra carry the scale to the fourth power; cov's unoffset ratios read any scale
+    what = "lag-0 spectrum" if cfg.method == "cov" else "per-lag spectrum"
+    reported = tuple(_in_units(s, (4 if cfg.method == "auto" else 2) * e, what) for s in spectra)
+    ranked = spectra[0] if cfg.method == "cov" else _lag_weighted(reported, n)
 
     bound, r_fixed = _resolve_bounds(cfg, p - 1 if w is None else w.q - 1, n)
     r, ratios = _choose_rank(ranked, vartheta, bound, r_fixed)
@@ -477,7 +474,7 @@ def estimate(panel: TimePanel, cfg: EstimatorConfig) -> FactorFit:
         stacked = np.hstack([_half_weighted(lag, w) for lag in covs.lags])
         a = _fix_signs(np.linalg.svd(stacked, full_matrices=False)[0][:, :r])
     a, w = _lifted(v, a, w)
-    ys = None if w is None else _scaled(y)[0]  # H does not depend on y's scale
+    ys = None if w is None else _normalized(panel)[0]  # H does not depend on y's scale
     h_hat = None if w is None else tuple(
         _lag_fit(*_gram_cross(ys[: n - k] @ w.Q, ys[k:] @ a), 0.0)[0] for k in range(1, cfg.m + 1)
     )
@@ -485,8 +482,8 @@ def estimate(panel: TimePanel, cfg: EstimatorConfig) -> FactorFit:
         method=cfg.method,
         r_hat=r,
         A_hat=a,
-        factors=y @ a,
-        eigenvalues_per_lag=spectra,
+        factors=panel.data @ a,
+        eigenvalues_per_lag=reported,
         ratios=ratios,
         q_used=None if w is None else w.q,
         H_hat=h_hat,
@@ -545,14 +542,14 @@ def rrr_solution(
         raise InvalidConfig(
             f"need 1 <= r <= q <= min(p, n-k) = {min(p, n - k)}, got r={r}, q={q}"
         )
-    v, rows = _row_space(panel)
+    v, rows, _ = _row_space(panel)
     w = _rank_q_weight(_lag0_eigen(rows), q, n)
     lag = sample_autocov(rows, k).lags[k - 1]
     u, _, _ = np.linalg.svd(_half_weighted(lag, w), full_matrices=False)
     a, w = _lifted(v, _fix_signs(u[:, :r]), w)
-    y, e = _scaled(panel.data)  # H is invariant to the scale; the objective scales by 4**e
+    y, e = _normalized(panel)  # H is invariant to the scale; the objective scales by 4**e
     h, objective = _lag_fit(*_gram_cross(y[: n - k] @ w.Q, y[k:] @ a), float(np.sum(y[k:] ** 2)))
-    return a, h, float(_unscale(objective, e, "rank-r regression objective"))
+    return a, h, float(_in_units(objective, 2 * e, "rank-r regression objective"))
 
 
 def two_step(

@@ -30,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfig, InvalidData
-from .factor import _Q_CAP, _check_fit, _check_lag_count, _choose_rank, _rank_q_weight
-from .tsstats import TimePanel, _mean_product, demean, sym_eigen
+from .factor import _Q_CAP, _check_fit, _check_lag_count, _choose_rank, _normalized, _rank_q_weight
+from .tsstats import TimePanel, _in_units, _mean_product, demean, sym_eigen
 
 __all__ = [
     "MatrixPanel",
@@ -92,16 +92,18 @@ def _slice_q(q: Optional[int], p: int, n: int) -> int:
     return min(_Q_CAP, p, n - 1) if q is None else q
 
 
-def _side_aggregate(y: np.ndarray, m: int, q: int, slices: str) -> np.ndarray:
-    """``sum_k sum_ij Omega_ij(k) W_j Omega_ij(k)'`` of a demeaned (n, p, s)
-    array ``y`` whose slice j is ``y[:, :, j]``; each ``W_j`` is the rank-q
-    weight of ``y_j' y_j / n``, and ``slices`` names the slices in errors."""
-    n, p, s = y.shape
+def _side_aggregate(panel: MatrixPanel, m: int, q: int, slices: str) -> tuple[np.ndarray, int]:
+    """``(M, e)``, M the ``sum_k sum_ij Omega_ij(k) W_j Omega_ij(k)'`` over the
+    column or row ``slices`` of the demeaned panel scaled by ``2**-e``, as a
+    vector fit's; each ``W_j`` is the rank-q weight of ``y_j' y_j / n``."""
+    y, e = _normalized(demean(panel._flat))
+    y = y.reshape(panel.data.shape).transpose((0, 1, 2) if slices == "column" else (0, 2, 1))
+    n, p, s = y.shape  # slice j is y[:, :, j]
     _check_lag_count(m, n)
     scores = []
     for j in range(s):
         yj = y[:, :, j]
-        cov = _mean_product(yj, yj, n, f"lag-0 covariance of {slices} slice {j}")
+        cov = _mean_product(yj, yj, n, f"lag-0 covariance of {slices} slice {j}", e)
         w = _rank_q_weight(sym_eigen(cov, p), q, n, f" of {slices} slice {j}")
         scores.append(yj @ (w.Q / np.sqrt(w.theta)))
     flat, z = y.reshape(n, p * s), np.hstack(scores)  # z is n by (s*q), slice-major
@@ -111,7 +113,7 @@ def _side_aggregate(y: np.ndarray, m: int, q: int, slices: str) -> np.ndarray:
         prod = (flat[k:].T @ z[: n - k]).reshape(p, s * s * q)
         prod /= n - k
         out += prod @ prod.T
-    return 0.5 * (out + out.T)
+    return 0.5 * (out + out.T), e
 
 
 def m_hat_rows(panel: MatrixPanel, m: int = 2, q1: Optional[int] = None) -> np.ndarray:
@@ -123,15 +125,15 @@ def m_hat_rows(panel: MatrixPanel, m: int = 2, q1: Optional[int] = None) -> np.n
     symmetrized, so its eigenvalues are real and nonnegative up to
     round-off.
     """
-    y = demean_matrix(panel).data
-    return _side_aggregate(y, m, _slice_q(q1, panel.p1, panel.n), "column")
+    out, e = _side_aggregate(panel, m, _slice_q(q1, panel.p1, panel.n), "column")
+    return _in_units(out, 2 * e, "row aggregate")
 
 
 def m_hat_cols(panel: MatrixPanel, m: int = 2, q2: Optional[int] = None) -> np.ndarray:
     """Column-space analogue of :func:`m_hat_rows` (a p2 x p2 matrix),
     computed on the demeaned panel with rows and columns swapped."""
-    y = demean_matrix(panel).data.transpose(0, 2, 1)
-    return _side_aggregate(y, m, _slice_q(q2, panel.p2, panel.n), "row")
+    out, e = _side_aggregate(panel, m, _slice_q(q2, panel.p2, panel.n), "row")
+    return _in_units(out, 2 * e, "column aggregate")
 
 
 @dataclass(frozen=True)
@@ -179,13 +181,14 @@ def estimate_matrix(
     for d, q, p, side in ((d1, q1, p1, "d1"), (d2, q2, p2, "d2")):
         if d is not None and not 1 <= d <= min(q, p):
             raise InvalidConfig(f"{side} must be in [1, min(q, p)] = [1, {min(q, p)}], got {d}")
-    aggregates = (m_hat_rows(panel, m=m, q1=q1), m_hat_cols(panel, m=m, q2=q2))
     fitted = []
-    for aggregate, d, q, p in zip(aggregates, (d1, d2), (q1, q2), (p1, p2)):
+    for d, q, p, side, slices in ((d1, q1, p1, "row", "column"), (d2, q2, p2, "column", "row")):
+        aggregate, e = _side_aggregate(panel, m, q, slices)
         pairs = sym_eigen(aggregate, p)
-        d_hat, ratios = _choose_rank(pairs.values, vartheta_scale * p / n, min(q, p) - 1, d)
+        spectrum = _in_units(pairs.values, 2 * e, f"{side} spectrum")
+        d_hat, ratios = _choose_rank(spectrum, vartheta_scale * p / n, min(q, p) - 1, d)
         # copy the leading columns so the basis does not pin all p eigenvectors
-        fitted.append((pairs.vectors[:, :d_hat].copy(), d_hat, pairs.values, ratios))
+        fitted.append((pairs.vectors[:, :d_hat].copy(), d_hat, spectrum, ratios))
     (R_hat, d1_hat, row_spectrum, row_ratios), (C_hat, d2_hat, col_spectrum, col_ratios) = fitted
     return MatrixFactorFit(
         R_hat=R_hat,

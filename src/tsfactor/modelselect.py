@@ -28,11 +28,10 @@ from .factor import (
     _half_weighted,
     _lag_fit,
     _rank_q_weight,
-    _unscale,
     estimate,
     select_r,
 )
-from .tsstats import EigenPairs, LagCovSet, TimePanel, _scaled
+from .tsstats import TimePanel, _in_units, _lag0_eigen, sample_autocov
 
 __all__ = ["BicTrace", "select_q"]
 
@@ -64,11 +63,14 @@ class BicTrace:
             raise InvalidConfig("selected q does not minimize the BIC totals")
 
 
-def _bic_value(p: int, n: int, L: float, d: int, C: float) -> float:
-    """Assemble one BIC value; an exact fit (L = 0) maps to -inf."""
+def _bic_value(p: int, n: int, L: float, d: int, C: float, e: int = 0) -> float:
+    """One BIC value from the residual mean L of data scaled by ``2**-e``; -inf for an
+    exact fit.  Past the normal range of ``L * 4**e``, log L is ``log L + 2e log 2``."""
     if L <= 0.0:
         return -math.inf
-    return p * n * math.log(L) + C * d * math.log(p * n)
+    normal = -1021 <= math.frexp(L)[1] + 2 * e <= 1024  # L * 4**e is a normal double
+    log_l = math.log(math.ldexp(L, 2 * e)) if normal else math.log(L) + 2 * e * math.log(2.0)
+    return p * n * log_l + C * d * math.log(p * n)
 
 
 def _param_count(p: int, q: int, r: int) -> int:
@@ -91,38 +93,36 @@ def select_q(panel: TimePanel, cfg: EstimatorConfig) -> BicTrace:
     return estimate(panel, scan).bic_trace
 
 
-def _scan(
-    y: np.ndarray, p: int, covs: LagCovSet, lag0: EigenPairs, cfg: EstimatorConfig
-) -> BicTrace:
+def _scan(rows: TimePanel, p: int, e: int, cfg: EstimatorConfig) -> BicTrace:
     """The q scan behind :func:`select_q`, run by :func:`~tsfactor.factor.estimate`
-    over the lags of ``covs`` of a demeaned panel ``y`` with the full
-    eigendecomposition ``lag0`` of ``covs.lag0``.  ``p`` counts the series,
-    which ``y`` holds in row-space coordinates when p > n."""
-    n, m = y.shape[0], covs.m
+    over lags 1..``cfg.m`` of a demeaned panel ``rows`` scaled by ``2**-e``.
+    ``p`` counts the series, which ``rows`` holds in row-space coordinates
+    when p > n; spectra and residual means go back to the data's units."""
+    y, n, m = rows.data, rows.n, cfg.m
+    covs = sample_autocov(rows, m)
     q0 = min(_Q_CAP, p - 1, n - m) if cfg.q0 is None else cfg.q0  # n - m: every q is solvable
     if q0 > min(p, n) - 1:
         raise InvalidConfig(f"q0={q0} must be at most min(p, n) - 1 = {min(p, n) - 1}")
     vartheta = cfg.vartheta_scale * p / n
-    w0 = _rank_q_weight(lag0, q0, n)
-    ys, f = _scaled(y)
+    w0 = _rank_q_weight(_lag0_eigen(rows), q0, n)
     lags = range(1, m + 1)
-    # Stacked over lags, on B_k = Omega(k) Q theta^{-1/2} scaled by 2^-e_k and the
-    # design D_k = y[:n-k] Q on y scaled by 2^-f: G_k = B_k'B_k, D_k'D_k,
-    # X_k = D_k'y[k:] B_k and ||y[k:]||^2.  Each candidate's objects are leading
-    # blocks of these, because the covariance eigenvectors are nested.
-    halves = [_scaled(_half_weighted(covs.lags[k - 1], w0)) for k in lags]
-    regs = [_gram_cross(ys[: n - k] @ w0.Q, ys[k:]) for k in lags]
-    grams = np.stack([b.T @ b for b, _ in halves])
-    exps = np.array([[e] for _, e in halves])
+    # Stacked over lags, on B_k = Omega(k) Q theta^{-1/2} and the design
+    # D_k = y[:n-k] Q: G_k = B_k'B_k, D_k'D_k, X_k = D_k'y[k:] B_k and
+    # ||y[k:]||^2.  Each candidate's objects are leading blocks of these,
+    # because the covariance eigenvectors are nested.
+    halves = [_half_weighted(lag, w0) for lag in covs.lags]
+    regs = [_gram_cross(y[: n - k] @ w0.Q, y[k:]) for k in lags]
+    grams = np.stack([b.T @ b for b in halves])
     designs = np.stack([dd for dd, _ in regs])
-    xs = np.stack([c @ b for (_, c), (b, _) in zip(regs, halves)])
-    head_sqs = np.array([float(np.sum(ys[k:] ** 2)) for k in lags])
+    xs = np.stack([c @ b for (_, c), b in zip(regs, halves)])
+    head_sqs = np.array([float(np.sum(y[k:] ** 2)) for k in lags])
 
     def rank(q: int):
         """The ratio-rule rank at q and the ascending eigenpairs of each
-        G_k[:q, :q]: B_k[:, :q]'s squared singular values over 4^e_k, right vectors."""
+        G_k[:q, :q]: B_k[:, :q]'s squared singular values, right vectors."""
         vals, vecs = np.linalg.eigh(grams[:, :q, :q])
-        return select_r(_unscale(vals[:, ::-1], exps), n, vartheta, q - 1)[0], vals, vecs
+        spectra = _in_units(vals[:, ::-1], 2 * e, "per-lag spectrum")  # select_r clamps at 0
+        return select_r(spectra, n, vartheta, q - 1)[0], vals, vecs
 
     r_bar, *at_ceiling = rank(q0)
     candidates = tuple(range(r_bar + 1, q0 + 1))
@@ -140,10 +140,10 @@ def _scan(
             raise DegenerateSpectrum(f"a lag's B_k has rank below r={r_q} at q={q}")
         # D_k'y[k:] u = X_k V / s for the top left singular vectors u = B_k V / s
         cross = xs[:, :q, :q] @ vecs[:, :, -r_q:] / np.sqrt(vals[:, None, -r_q:])
-        resid = _lag_fit(designs[:, :q, :q], cross, head_sqs)[1]
-        per_lag_L[:, i] = _unscale(resid / (p * n), f, "BIC residual mean")
+        means = _lag_fit(designs[:, :q, :q], cross, head_sqs)[1] / (p * n)  # of the scaled y
+        per_lag_L[:, i] = _in_units(means, 2 * e, "BIC residual mean")
         per_lag_d[:, i] = d
-        per_lag_bic[:, i] = [_bic_value(p, n, L, d, cfg.bic_c) for L in per_lag_L[:, i]]
+        per_lag_bic[:, i] = [_bic_value(p, n, L, d, cfg.bic_c, e) for L in means]
     totals = per_lag_bic.sum(axis=0)
     q_hat = candidates[int(np.argmin(totals))]
     return BicTrace(

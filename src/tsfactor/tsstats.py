@@ -41,6 +41,15 @@ def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(x, -e), e
 
 
+def _in_units(values, e2: int, what: str):
+    """``values * 2**e2``; an overflow raises ``InvalidData`` naming ``what``."""
+    with np.errstate(over="ignore"):
+        out = np.ldexp(values, e2)
+    if not np.isfinite(out).all():
+        raise InvalidData(f"{what} overflows: the data are too large")
+    return out
+
+
 def _as_float_matrix(data, what: str) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2:
@@ -63,10 +72,9 @@ class TimePanel:
     demeaned : bool
         True once column means have been removed (see :func:`demean`).
 
-    A panel memoizes the moments its fits share: its demeaned copy, lag
-    products, lag-0 eigendecomposition and ``estimate``'s row-space QR,
-    and whether ``pipeline_forecast`` found it standardized.  Memo arrays
-    are read-only; the memo never refers back to its panel.
+    A panel memoizes what its fits share: demeaned and normalized copies,
+    lag products, the lag-0 eigendecomposition and whether ``pipeline_forecast``
+    found it standardized.  Memo arrays are read-only; none refers to the panel.
     """
 
     data: np.ndarray
@@ -171,13 +179,13 @@ def demean(panel: TimePanel) -> TimePanel:
     return panel._memo["demeaned"]
 
 
-def _mean_product(a: np.ndarray, b: np.ndarray, count: int, what: str) -> np.ndarray:
-    """``a' b / count``; an overflow raises ``InvalidData`` naming ``what``, not numpy's warning."""
+def _mean_product(a: np.ndarray, b: np.ndarray, count: int, what: str, e: int = 0) -> np.ndarray:
+    """``a' b / count`` of data scaled by ``2**-e``; ``a' b`` overflowing in the
+    data's units raises ``InvalidData`` naming ``what``, not numpy's warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = a.T @ b / count
-    if not np.isfinite(out).all():
-        raise InvalidData(f"{what} overflows: the data are too large")
-    return out
+        out = a.T @ b
+        _in_units(np.abs(out).max(initial=0.0), 2 * e, what)
+    return out / count
 
 
 def sample_autocov(panel: TimePanel, m: int) -> LagCovSet:
@@ -187,7 +195,7 @@ def sample_autocov(panel: TimePanel, m: int) -> LagCovSet:
     lag-``k`` matrix averages ``y_t y_{t-k}'`` over the ``n - k``
     available pairs, i.e. divides by ``n - k``.  Each lag product and each
     returned set is made once per panel and kept read-only; a product that
-    overflows raises ``InvalidData``.
+    overflows in the data's units raises ``InvalidData``.
 
     Parameters
     ----------
@@ -207,12 +215,12 @@ def sample_autocov(panel: TimePanel, m: int) -> LagCovSet:
     n = panel.n
     if m >= n:
         raise InvalidLag(f"lag count {m} must be smaller than the sample size {n}")
-    y = panel.data
+    y, e = panel.data, panel._memo.get("exponent", 0)  # a normalized panel's 2**-e
     sets = panel._memo.setdefault("lagcovs", {})  # m -> its LagCovSet, checked once
     if m not in sets:
         products = [sets[max(sets)].lag0, *sets[max(sets)].lags] if sets else []
         for k in range(len(products), m + 1):
-            lag = _mean_product(y[k:], y[: n - k], n - k, f"lag-{k} autocovariance")
+            lag = _mean_product(y[k:], y[: n - k], n - k, f"lag-{k} autocovariance", e)
             lag = 0.5 * (lag + lag.T) if k == 0 else lag
             lag.setflags(write=False)
             products.append(lag)
@@ -222,17 +230,9 @@ def sample_autocov(panel: TimePanel, m: int) -> LagCovSet:
 
 def _lag0_eigen(panel: TimePanel) -> EigenPairs:
     """Full ``sym_eigen`` of a demeaned panel's lag-0 covariance, computed
-    once per panel and kept read-only.  It runs on the covariance scaled by
-    a power of two (:func:`_scaled`), which LAPACK leaves unscaled, so the
-    vectors do not depend on the data's scale and the values scale exactly."""
+    once per panel and kept read-only."""
     if "lag0_eigen" not in panel._memo:
-        scaled, e = _scaled(sample_autocov(panel, 0).lag0)
-        pairs = sym_eigen(scaled, panel.p)
-        with np.errstate(over="ignore"):
-            values = np.ldexp(pairs.values, e)
-        if not np.isfinite(values).all():
-            raise InvalidData("lag-0 spectrum overflows: the data are too large")
-        pairs = EigenPairs(values=values, vectors=pairs.vectors)
+        pairs = sym_eigen(sample_autocov(panel, 0).lag0, panel.p)
         pairs.values.setflags(write=False)
         pairs.vectors.setflags(write=False)
         panel._memo["lag0_eigen"] = pairs

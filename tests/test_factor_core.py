@@ -1,5 +1,6 @@
 """Tests for the weight matrix, estimators, ratio rule, and rank regression."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -200,23 +201,58 @@ def test_spectra_scale_exactly_with_a_power_of_two(n, p, power):
             assert np.array_equal(got, np.ldexp(want, degree * power))
 
 
-@pytest.mark.parametrize("power", [250, 300, -300])
+@pytest.mark.parametrize("power", [250, 300, -300, -400])
 def test_loadings_are_bit_identical_at_extreme_powers_of_two(power):
-    # the lag-0 eigendecomposition runs on the covariance scaled by a power
-    # of two: LAPACK rescales a matrix past about 1e145 by a factor that is
-    # not one, so cov and wauto used to round differently there
+    # every moment is formed on the data scaled by 2**-e, e the binary
+    # exponent of max|y|, so a fit at any power of two runs on the same
+    # numbers.  LAPACK rescales a matrix past about 1e145 by a factor that
+    # is not a power of two, so cov and wauto used to round differently at
+    # 2**250; auto took its m = 2 basis from lag products that underflow at
+    # 2**-300.  auto's spectra overflow from about 1e77: negative powers only.
     y = generate_uniform(SimulationSpec(model="uniform", p=100, n=300, r0=3), 0)[0].data
-    for cfg in (
+    configs = [
         EstimatorConfig(method="cov", r_fixed=2),
         EstimatorConfig(method="wauto", q=5, r_fixed=2),
         EstimatorConfig(method="wauto", r_fixed=2),
-    ):
+    ]
+    if power < 0:
+        configs += [EstimatorConfig(method="auto", m=m, r_fixed=2) for m in (1, 2)]
+    for cfg in configs:
         base = estimate(TimePanel(y), cfg)
         moved = estimate(TimePanel(np.ldexp(y, power)), cfg)
         assert moved.q_used == base.q_used
         assert np.array_equal(moved.A_hat, base.A_hat)
         for got, want in zip(moved.H_hat or (), base.H_hat or (), strict=True):
             assert np.array_equal(got, want)
+
+
+def test_every_method_fits_data_times_1e_minus_200():
+    # 1e-200 is not a power of two, and the lag products, near 1e-400, used
+    # to underflow: cov raised DegenerateSpectrum, wauto IllConditioned, and
+    # auto returned loadings at distance 0.98 with no error
+    y = generate_two_strength(
+        SimulationSpec(model="twostrength", p=100, n=200, r0=2, r1=2, delta1=0.5), 0
+    )[0].data
+    configs = [
+        EstimatorConfig(method="cov"),
+        EstimatorConfig(method="cov", r_fixed=2),
+        EstimatorConfig(method="wauto", q=5, r_fixed=2),
+        EstimatorConfig(method="wauto", r_fixed=2),
+    ]
+    configs += [EstimatorConfig(method="auto", m=m, r_fixed=2) for m in (1, 2)]
+    for cfg in configs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = estimate(TimePanel(1e-200 * y), cfg)
+        if fit.bic_trace is not None:
+            # the residual means, near 1e-400, underflow in the data's units;
+            # the ratio offsets are absolute, so q_hat is the one at 2**-300
+            assert np.isfinite(fit.bic_trace.totals).all()
+            assert fit.q_used == estimate(TimePanel(np.ldexp(y, -300)), cfg).q_used == 10
+            cfg = dataclasses.replace(cfg, q=fit.q_used)
+        base = estimate(TimePanel(y), cfg)
+        assert (fit.r_hat, fit.q_used) == (base.r_hat, base.q_used)
+        assert subspace_distance(fit.A_hat, base.A_hat) <= 1e-12
 
 
 def record_decompositions(monkeypatch):

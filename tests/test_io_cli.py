@@ -1,5 +1,6 @@
 """CSV ingestion, artifact serialization, and command-line behavior."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -16,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsfactor.io
-from tsfactor.cli import run
+from tsfactor.cli import build_parser, run
 from tsfactor.errors import IngestError, TsfactorError
+from tsfactor.factor import EstimatorConfig
 from tsfactor.io import (
     fmt_float,
     ingest_csv,
@@ -548,6 +550,14 @@ class TestCliSimulate:
         assert kv["n"] == "60"  # config beats default
         assert kv["seed"] == "3"
         assert "freq_correct_cov" in kv and "freq_correct_wauto" not in kv
+        # each command's fit options default to EstimatorConfig's fields
+        fit = dataclasses.asdict(EstimatorConfig())
+        for argv in (["estimate", "x"], ["select-q", "x"], ["simulate"], ["forecast", "x"],
+                     ["matrix-estimate", "x"]):
+            args = vars(build_parser().parse_args(argv))
+            shared = (set(args) & set(fit)) - {"method"}
+            assert {"m", "vartheta_scale"} <= shared, argv
+            assert all(args[key] == fit[key] for key in shared), argv
 
 
 class TestCliForecastAndSelectQ:
@@ -828,6 +838,10 @@ def test_data_scaled_by_1e200_exits_4_on_every_method(tmp_path, method):
     src = tmp_path / "huge.csv"
     np.savetxt(src, 1e200 * generate_two_strength(spec, 0)[0].data, delimiter=",", fmt="%.17g")
     assert run(["estimate", str(src), "--method", method, "--out", str(tmp_path / "o")]) == 4
+    # at 1e-200 the fits run on the data scaled by a power of two; cov used to exit 9
+    src = tmp_path / "tiny.csv"
+    np.savetxt(src, 1e-200 * generate_two_strength(spec, 0)[0].data, delimiter=",", fmt="%.17g")
+    assert run(["estimate", str(src), "--method", method, "--out", str(tmp_path / "t")]) == 0
 
 
 def test_auto_exits_4_on_data_scaled_by_1e140_without_a_numpy_warning(tmp_path, capsys):

@@ -106,7 +106,8 @@ def explicit_scan(panel, m, q0, C=0.2, vartheta_scale=0.1):
     rank per candidate, ``per_lag_L`` and q_hat."""
     panel = demean(panel)
     n, p = panel.n, panel.p
-    _, rows = _row_space(panel)
+    _, rows, e = _row_space(panel)
+    rows = TimePanel(np.ldexp(rows.data, e), demeaned=True)  # back in the data's units
     y = rows.data
     covs = sample_autocov(rows, m)
     w0 = weight_matrix(covs, q0)

@@ -51,7 +51,7 @@ def dense_fit(y: np.ndarray, cfg: EstimatorConfig) -> dict:
     if cfg.method == "wauto":
         q = cfg.q
         if not isinstance(q, int):
-            q = _scan(yc, p, covs, sym_eigen(covs.lag0, p), cfg).q_hat
+            q = _scan(panel, p, 0, cfg).q_hat
         w = weight_matrix(covs, q)
     if cfg.method == "cov":
         pairs = sym_eigen(covs.lag0, p)
