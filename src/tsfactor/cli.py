@@ -1,46 +1,41 @@
 """Command-line front end: estimate, select-q, simulate, forecast, matrix.
 
 Every subcommand reads its options from flags, optionally seeded by a
-JSON ``--config`` file (flags win), and writes three artifacts into the
-``--out`` directory: ``report.txt`` (also printed to stdout),
-``result.csv``, and ``trace.kv`` with one ``key=value`` per line.  The
-artifacts contain no timestamps or durations, so identical inputs and
-options produce byte-identical files.
+JSON ``--config`` file (flags win).  It returns its report lines, trace
+items and CSV tables, and one writer puts them into the ``--out``
+directory: ``report.txt`` (also printed to stdout), ``result.csv``,
+``trace.kv`` with one ``key=value`` per line, and ``factors.csv`` from
+``estimate`` and ``select-q``.  The artifacts contain no timestamps or
+durations, so identical inputs and options produce byte-identical files.
 
 Exit codes: 0 success, 2 usage (argparse), then one code per error
-category: 3 ingest, 4 invalid data, 5 invalid configuration, 6 invalid
-lag, 7 precondition violated, 8 ill-conditioned weight, 9 degenerate
-spectrum, 10 any other library error.
+category, each error class's ``exit_code``: 3 ingest, 4 invalid data,
+5 invalid configuration, 6 invalid lag, 7 precondition violated,
+8 ill-conditioned weight, 9 degenerate spectrum, 10 any other library
+error or an unwritable ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
+import dataclasses
 import json
 import os
 import sys
+from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectrum,
-    IllConditioned,
-    IngestError,
-    InvalidConfig,
-    InvalidData,
-    InvalidLag,
-    PreconditionViolated,
-    TsfactorError,
-)
+from .errors import InvalidConfig, TsfactorError
 from .factor import EstimatorConfig, FactorFit, estimate
 from .forecast import expanding_window_eval
 from .io import (
     fmt_float,
     ingest_csv,
     ingest_matrix_csv,
-    write_loadings_csv,
+    loadings_table,
+    write_table,
     write_text,
     write_trace_kv,
 )
@@ -51,18 +46,8 @@ from .tsstats import TimePanel
 
 __all__ = ["build_parser", "main", "run"]
 
-_EXIT_BY_ERROR: tuple[tuple[type, int], ...] = (
-    (IngestError, 3),
-    (InvalidData, 4),
-    (InvalidConfig, 5),
-    (InvalidLag, 6),
-    (PreconditionViolated, 7),
-    (IllConditioned, 8),
-    (DegenerateSpectrum, 9),
-    (TsfactorError, 10),
-)
-
 _FIT = EstimatorConfig()  # each option that fills an EstimatorConfig defaults to its field
+_FIT_FIELDS = frozenset(field.name for field in dataclasses.fields(EstimatorConfig))
 
 
 def _q_flag(text: str):
@@ -83,16 +68,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, with_input: bool) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, func, with_input: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         if with_input:
             p.add_argument("input", help="CSV file, one row per time point")
         p.add_argument("--out", default=".", help="directory for the artifacts")
         p.add_argument("--config", default=None, help="JSON file with option defaults")
-        p.set_defaults(subparser=p)
+        p.set_defaults(subparser=p, func=func)
         return p
 
-    p = add("estimate", "estimate loadings and the factor count", True)
+    p = add("estimate", "estimate loadings and the factor count", _cmd_estimate)
     p.add_argument("--method", default=_FIT.method, choices=["cov", "auto", "wauto"])
     p.add_argument("--m", type=int, default=_FIT.m, help="number of lags aggregated")
     p.add_argument("--q", type=_q_flag, default=_FIT.q, help="projection dimension or 'auto'")
@@ -104,17 +89,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=int, default=None, help="cap the factor-count search")
     p.add_argument("--no-demean", action="store_true", default=False,
                    help="input is already centered; verify instead of demeaning")
-    p.set_defaults(func=_cmd_estimate)
 
-    p = add("select-q", "scan the projection dimension by generalized BIC", True)
+    p = add("select-q", "scan the projection dimension by generalized BIC", _cmd_select_q)
     p.add_argument("--m", type=int, default=_FIT.m)
     p.add_argument("--q0", type=int, default=_FIT.q0)
     p.add_argument("--bic-c", type=float, default=_FIT.bic_c)
     p.add_argument("--vartheta-scale", type=float, default=_FIT.vartheta_scale)
     p.add_argument("--no-demean", action="store_true", default=False)
-    p.set_defaults(func=_cmd_select_q)
 
-    p = add("simulate", "Monte Carlo study of the three estimators", False)
+    p = add("simulate", "Monte Carlo study of the three estimators", _cmd_simulate, False)
     p.add_argument("--model", default="uniform", choices=["uniform", "twostrength"])
     p.add_argument("--p", type=int, default=100)
     p.add_argument("--n", type=int, default=300)
@@ -131,9 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=_FIT.m)
     p.add_argument("--q", type=_q_flag, default=_FIT.q)
     p.add_argument("--vartheta-scale", type=float, default=_FIT.vartheta_scale)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = add("forecast", "expanding-window forecast comparison", True)
+    p = add("forecast", "expanding-window forecast comparison", _cmd_forecast)
     p.add_argument("--method", default="all", choices=["cov", "auto", "wauto", "all"])
     p.add_argument("--h", type=int, default=1, help="forecast horizon")
     p.add_argument("--r", type=int, default=1, help="factor count used in every window")
@@ -143,16 +125,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vartheta-scale", type=float, default=_FIT.vartheta_scale)
     p.add_argument("--standardize-per-window", action="store_true", default=False,
                    help="score in original units with per-window scaling")
-    p.set_defaults(func=_cmd_forecast)
 
-    p = add("matrix-estimate", "row/column loading spaces of a matrix series", True)
+    p = add("matrix-estimate", "row/column loading spaces of a matrix series", _cmd_matrix)
     p.add_argument("--m", type=int, default=_FIT.m)
     p.add_argument("--q1", type=int, default=None)
     p.add_argument("--q2", type=int, default=None)
     p.add_argument("--d1", type=int, default=None)
     p.add_argument("--d2", type=int, default=None)
     p.add_argument("--vartheta-scale", type=float, default=_FIT.vartheta_scale)
-    p.set_defaults(func=_cmd_matrix)
 
     return parser
 
@@ -206,25 +186,47 @@ def _load_panel(args: argparse.Namespace) -> TimePanel:
     return panel
 
 
-def _finish(out_dir: str, report: str, trace_items: list[tuple[str, object]]) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    write_text(os.path.join(out_dir, "report.txt"), report)
-    write_trace_kv(os.path.join(out_dir, "trace.kv"), trace_items)
-    print(report, end="")
+def _fit_config(args: argparse.Namespace, **fields) -> EstimatorConfig:
+    """The options named after EstimatorConfig's fields, with ``fields`` on top."""
+    options = {key: value for key, value in vars(args).items() if key in _FIT_FIELDS}
+    return EstimatorConfig(**{**options, **fields})
 
 
-def _result_writer(out_dir: str):
-    os.makedirs(out_dir, exist_ok=True)
-    return open(os.path.join(out_dir, "result.csv"), "w", newline="")
+def _method_configs(args: argparse.Namespace) -> tuple[EstimatorConfig, ...]:
+    names = ["cov", "auto", "wauto"] if args.method == "all" else [args.method]
+    return tuple(_fit_config(args, method=name) for name in names)
 
 
-def _fit_trace(fit: FactorFit, n: int, p: int) -> list[tuple[str, object]]:
-    items: list[tuple[str, object]] = [
-        ("method", fit.method),
-        ("n", n),
-        ("p", p),
-        ("r_hat", fit.r_hat),
-    ]
+# A command returns its report lines, its trace items and its CSV tables.
+Trace = list[tuple[str, object]]
+Tables = dict[str, tuple[list[str], Iterable]]  # file name: (header, rows)
+
+
+def _write(out_dir: str, report: list[str], trace: Trace, tables: Tables) -> None:
+    """Write every table, ``report.txt`` and ``trace.kv`` into ``out_dir``,
+    then print the report."""
+    text = "\n".join(report) + "\n"
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            write_table(os.path.join(out_dir, name), header, rows)
+        write_text(os.path.join(out_dir, "report.txt"), text)
+        write_trace_kv(os.path.join(out_dir, "trace.kv"), trace)
+    except OSError as exc:
+        raise TsfactorError(f"cannot write artifacts to {out_dir}: {exc}") from None
+    print(text, end="")
+
+
+def _fit_tables(fit: FactorFit, names: tuple[str, ...]) -> Tables:
+    """The loadings as ``result.csv`` and the factors as ``factors.csv``."""
+    return {
+        "result.csv": loadings_table(fit.A_hat, names),
+        "factors.csv": ([f"f{j + 1}" for j in range(fit.r_hat)], fit.factors),
+    }
+
+
+def _fit_trace(fit: FactorFit, n: int, p: int) -> Trace:
+    items: Trace = [("method", fit.method), ("n", n), ("p", p), ("r_hat", fit.r_hat)]
     if fit.q_used is not None:
         items.append(("q_used", fit.q_used))
     items.append(("ratio", np.asarray(fit.ratios)))
@@ -234,9 +236,9 @@ def _fit_trace(fit: FactorFit, n: int, p: int) -> list[tuple[str, object]]:
     return items if fit.bic_trace is None else items + _scan_trace(fit.bic_trace)
 
 
-def _scan_trace(trace: BicTrace) -> list[tuple[str, object]]:
+def _scan_trace(trace: BicTrace) -> Trace:
     """The q scan's keys, written by ``select-q`` and by a ``wauto`` fit that scans q."""
-    items: list[tuple[str, object]] = [
+    items: Trace = [
         ("q_hat", trace.q_hat),
         ("r_bar", trace.r_bar),
         ("candidate", np.asarray(trace.candidates)),
@@ -246,79 +248,42 @@ def _scan_trace(trace: BicTrace) -> list[tuple[str, object]]:
     return items + [(f"bic_lag{k}", row) for k, row in enumerate(trace.per_lag_bic, start=1)]
 
 
-def _ratio_table(ratios: np.ndarray) -> str:
-    lines = ["rank  ratio"]
-    for j, value in enumerate(np.asarray(ratios), start=1):
-        lines.append(f"{j:>4d}  {value:.6g}")
-    return "\n".join(lines)
+def _per_method(keys: list[str], rows: list[tuple]) -> Trace:
+    """One ``<key>_<method>`` item per value of each ``(method, *values)`` row."""
+    return [(f"{key}_{method}", v) for method, *values in rows for key, v in zip(keys, values)]
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
+def _cmd_estimate(args: argparse.Namespace):
     panel = _load_panel(args)
-    cfg = EstimatorConfig(
-        method=args.method,
-        m=args.m,
-        q=args.q,
-        vartheta_scale=args.vartheta_scale,
-        r_search_max=args.r_max,
-        r_fixed=args.r,
-        q0=args.q0,
-        bic_c=args.bic_c,
-    )
-    fit = estimate(panel, cfg)
-    q_text = "-" if fit.q_used is None else str(fit.q_used)
-    report = (
-        "factor estimate\n"
-        f"method={fit.method}  m={args.m}  q={q_text}\n"
-        f"n={panel.n}  p={panel.p}\n"
-        f"r_hat={fit.r_hat}\n"
-        + _ratio_table(fit.ratios)
-        + "\n"
-    )
-    _write_fit(args.out, fit, panel.names)
-    _finish(args.out, report, [("command", "estimate")] + _fit_trace(fit, panel.n, panel.p))
-    return 0
+    fit = estimate(panel, _fit_config(args, r_search_max=args.r_max, r_fixed=args.r))
+    report = [
+        "factor estimate",
+        f"method={fit.method}  m={args.m}  q={'-' if fit.q_used is None else fit.q_used}",
+        f"n={panel.n}  p={panel.p}",
+        f"r_hat={fit.r_hat}",
+        "rank  ratio",
+    ]
+    report += [f"{j:>4d}  {value:.6g}" for j, value in enumerate(np.asarray(fit.ratios), start=1)]
+    return report, _fit_trace(fit, panel.n, panel.p), _fit_tables(fit, panel.names)
 
 
-def _write_fit(out_dir: str, fit: FactorFit, names: tuple[str, ...]) -> None:
-    """The loadings as ``result.csv`` and the factors as ``factors.csv``."""
-    os.makedirs(out_dir, exist_ok=True)
-    write_loadings_csv(os.path.join(out_dir, "result.csv"), fit.A_hat, names)
-    with open(os.path.join(out_dir, "factors.csv"), "w", newline="\n") as fh:
-        fh.write(",".join(f"f{j + 1}" for j in range(fit.r_hat)) + "\n")
-        for row in fit.factors:
-            fh.write(",".join(fmt_float(v) for v in row) + "\n")
-
-
-def _cmd_select_q(args: argparse.Namespace) -> int:
+def _cmd_select_q(args: argparse.Namespace):
     panel = _load_panel(args)
-    cfg = EstimatorConfig(m=args.m, vartheta_scale=args.vartheta_scale, q0=args.q0, bic_c=args.bic_c)
-    fit = estimate(panel, cfg)
-    trace = fit.bic_trace
-    lines = [
+    fit = estimate(panel, _fit_config(args))
+    scan = fit.bic_trace
+    report = [
         "projection dimension scan",
-        f"n={panel.n}  p={panel.p}  q0={trace.candidates[-1]}  C={cfg.bic_c:.6g}",
-        f"q_hat={trace.q_hat}  r_bar={trace.r_bar}  r_hat={fit.r_hat}",
+        f"n={panel.n}  p={panel.p}  q0={scan.candidates[-1]}  C={args.bic_c:.6g}",
+        f"q_hat={scan.q_hat}  r_bar={scan.r_bar}  r_hat={fit.r_hat}",
         "q  r_hat  bic_total",
     ]
-    for q, r_q, total in zip(trace.candidates, trace.r_hat_per_candidate, trace.totals):
-        lines.append(f"{q:>2d}  {r_q:>5d}  {total:.10g}")
-    report = "\n".join(lines) + "\n"
-    items = [("command", "select-q"), ("n", panel.n), ("p", panel.p), ("r_hat", fit.r_hat)]
-    _write_fit(args.out, fit, panel.names)
-    _finish(args.out, report, items + _scan_trace(trace))
-    return 0
+    for q, r_q, total in zip(scan.candidates, scan.r_hat_per_candidate, scan.totals):
+        report.append(f"{q:>2d}  {r_q:>5d}  {total:.10g}")
+    trace = [("n", panel.n), ("p", panel.p), ("r_hat", fit.r_hat)] + _scan_trace(scan)
+    return report, trace, _fit_tables(fit, panel.names)
 
 
-def _method_configs(args: argparse.Namespace) -> tuple[EstimatorConfig, ...]:
-    names = ["cov", "auto", "wauto"] if args.method == "all" else [args.method]
-    return tuple(
-        EstimatorConfig(method=name, m=args.m, q=args.q, vartheta_scale=args.vartheta_scale)
-        for name in names
-    )
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace):
     r1 = args.r1
     if r1 is None:
         r1 = 0 if args.model == "uniform" else 3
@@ -335,62 +300,36 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         methods=_method_configs(args),
         noise_scale=args.noise_scale,
     )
-    report_obj = run_monte_carlo(spec, threads=1 if args.threads is None else args.threads)
-    lines = [
+    study = run_monte_carlo(spec, threads=1 if args.threads is None else args.threads)
+    columns = ["freq_correct", "mean_r_hat", "mean_distance", "sd_distance", "failed"]
+    summaries = [
+        (s.method, s.frequency_correct, s.mean_r_hat, s.mean_distance, s.sd_distance, s.n_failed)
+        for s in study.summaries
+    ]
+    report = [
         "monte carlo study",
         f"model={spec.model}  p={spec.p}  n={spec.n}  r0={spec.r0}  r1={spec.r1}",
         f"delta0={fmt_float(spec.delta0)}  delta1={fmt_float(spec.delta1)}  "
         f"runs={spec.n_runs}  seed={spec.base_seed}",
-        "method  freq_correct  mean_r_hat  mean_distance  sd_distance  failed",
+        "  ".join(["method", *columns]),
     ]
-    for s in report_obj.summaries:
-        lines.append(
-            f"{s.method:<7s} {s.frequency_correct:>12.4f}  {s.mean_r_hat:>10.4f}  "
-            f"{s.mean_distance:>13.6f}  {s.sd_distance:>11.6f}  {s.n_failed:>6d}"
+    for method, freq, mean_r, mean_d, sd_d, failed in summaries:
+        report.append(
+            f"{method:<7s} {freq:>12.4f}  {mean_r:>10.4f}  "
+            f"{mean_d:>13.6f}  {sd_d:>11.6f}  {failed:>6d}"
         )
-    report = "\n".join(lines) + "\n"
-    with _result_writer(args.out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["run", "method", "r_hat", "distance", "error"])
-        for rec in report_obj.records:
-            writer.writerow([
-                rec.run_index,
-                rec.method,
-                "" if rec.r_hat is None else rec.r_hat,
-                "" if rec.distance is None else fmt_float(rec.distance),
-                rec.error or "",
-            ])
-    items: list[tuple[str, object]] = [
-        ("command", "simulate"),
-        ("rng", "pcg64"),
-        ("model", spec.model),
-        ("p", spec.p),
-        ("n", spec.n),
-        ("r0", spec.r0),
-        ("r1", spec.r1),
-        ("delta0", spec.delta0),
-        ("delta1", spec.delta1),
-        ("noise_scale", spec.noise_scale),
-        ("runs", spec.n_runs),
-        ("seed", spec.base_seed),
-    ]
-    for s in report_obj.summaries:
-        items += [
-            (f"freq_correct_{s.method}", s.frequency_correct),
-            (f"mean_r_hat_{s.method}", s.mean_r_hat),
-            (f"mean_distance_{s.method}", s.mean_distance),
-            (f"sd_distance_{s.method}", s.sd_distance),
-            (f"failed_{s.method}", s.n_failed),
-        ]
-    _finish(args.out, report, items)
-    return 0
+    keys = ("model", "p", "n", "r0", "r1", "delta0", "delta1", "noise_scale")
+    trace: Trace = [("rng", "pcg64")] + [(key, getattr(spec, key)) for key in keys]
+    trace += [("runs", spec.n_runs), ("seed", spec.base_seed)] + _per_method(columns, summaries)
+    rows = ((r.run_index, r.method, r.r_hat, r.distance, r.error) for r in study.records)
+    return report, trace, {"result.csv": (["run", "method", "r_hat", "distance", "error"], rows)}
 
 
-def _cmd_forecast(args: argparse.Namespace) -> int:
+def _cmd_forecast(args: argparse.Namespace):
     panel = ingest_csv(args.input, demean_panel=False)
     n1 = args.n1 if args.n1 is not None else panel.n - 50
     standardize = "train" if args.standardize_per_window else "global"
-    report_obj = expanding_window_eval(
+    evaluation = expanding_window_eval(
         panel,
         _method_configs(args),
         r_hat=args.r,
@@ -398,46 +337,23 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
         n1=n1,
         standardize=standardize,
     )
-    lines = [
+    header = ["method", "mafe", "msfe", "failed"]
+    rows = [(res.label, res.mafe, res.msfe, res.n_failed) for res in evaluation.results]
+    report = [
         "expanding-window forecast comparison",
-        f"n={panel.n}  p={panel.p}  h={report_obj.h}  n1={report_obj.n1}  "
-        f"n2={report_obj.n2}  windows={len(report_obj.origins)}  "
+        f"n={panel.n}  p={panel.p}  h={evaluation.h}  n1={evaluation.n1}  "
+        f"n2={evaluation.n2}  windows={len(evaluation.origins)}  "
         f"standardize={standardize}",
         "method  mafe        msfe        failed",
     ]
-    for res in report_obj.results:
-        lines.append(
-            f"{res.label:<7s} {res.mafe:>10.6f}  {res.msfe:>10.6f}  {res.n_failed:>6d}"
-        )
-    report = "\n".join(lines) + "\n"
-    with _result_writer(args.out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "mafe", "msfe", "failed"])
-        for res in report_obj.results:
-            writer.writerow(
-                [res.label, fmt_float(res.mafe), fmt_float(res.msfe), res.n_failed]
-            )
-    items: list[tuple[str, object]] = [
-        ("command", "forecast"),
-        ("n", panel.n),
-        ("p", panel.p),
-        ("h", report_obj.h),
-        ("r", args.r),
-        ("n1", report_obj.n1),
-        ("n2", report_obj.n2),
-        ("standardize", standardize),
-    ]
-    for res in report_obj.results:
-        items += [
-            (f"mafe_{res.label}", res.mafe),
-            (f"msfe_{res.label}", res.msfe),
-            (f"failed_{res.label}", res.n_failed),
-        ]
-    _finish(args.out, report, items)
-    return 0
+    for label, mafe, msfe, failed in rows:
+        report.append(f"{label:<7s} {mafe:>10.6f}  {msfe:>10.6f}  {failed:>6d}")
+    trace: Trace = [("n", panel.n), ("p", panel.p), ("h", evaluation.h), ("r", args.r)]
+    trace += [("n1", evaluation.n1), ("n2", evaluation.n2), ("standardize", standardize)]
+    return report, trace + _per_method(header[1:], rows), {"result.csv": (header, rows)}
 
 
-def _cmd_matrix(args: argparse.Namespace) -> int:
+def _cmd_matrix(args: argparse.Namespace):
     mp = ingest_matrix_csv(args.input)
     fit = estimate_matrix(
         mp,
@@ -448,7 +364,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         d2=args.d2,
         vartheta_scale=args.vartheta_scale,
     )
-    lines = [
+    report = [
         "matrix factor estimate",
         f"n={mp.n}  p1={mp.p1}  p2={mp.p2}  q1={fit.q1_used}  q2={fit.q2_used}",
         f"d1={fit.d1}  d2={fit.d2}",
@@ -456,47 +372,33 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     ]
     for side, spectrum in (("row", fit.row_spectrum), ("col", fit.col_spectrum)):
         for j, value in enumerate(spectrum[: max(fit.d1, fit.d2) + 2], start=1):
-            lines.append(f"{side:<4s}  {j:>4d}  {value:.6g}")
-    report = "\n".join(lines) + "\n"
-    with _result_writer(args.out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["side", "row", "col", "value"])
-        for side, basis in (("R", fit.R_hat), ("C", fit.C_hat)):
-            for i, row in enumerate(basis, start=1):
-                for j, value in enumerate(row, start=1):
-                    writer.writerow([side, i, j, fmt_float(value)])
-    items: list[tuple[str, object]] = [
-        ("command", "matrix-estimate"),
-        ("n", mp.n),
-        ("p1", mp.p1),
-        ("p2", mp.p2),
-        ("q1", fit.q1_used),
-        ("q2", fit.q2_used),
-        ("d1", fit.d1),
-        ("d2", fit.d2),
-        ("row_spectrum", fit.row_spectrum),
-        ("col_spectrum", fit.col_spectrum),
-        ("row_ratio", fit.row_ratios),
-        ("col_ratio", fit.col_ratios),
-    ]
-    _finish(args.out, report, items)
-    return 0
+            report.append(f"{side:<4s}  {j:>4d}  {value:.6g}")
+    trace: Trace = [("n", mp.n), ("p1", mp.p1), ("p2", mp.p2)]
+    trace += [("q1", fit.q1_used), ("q2", fit.q2_used), ("d1", fit.d1), ("d2", fit.d2)]
+    trace += [("row_spectrum", fit.row_spectrum), ("col_spectrum", fit.col_spectrum)]
+    trace += [("row_ratio", fit.row_ratios), ("col_ratio", fit.col_ratios)]
+    rows = (
+        [side, i, j, value]
+        for side, basis in (("R", fit.R_hat), ("C", fit.C_hat))
+        for i, row in enumerate(basis, start=1)
+        for j, value in enumerate(row, start=1)
+    )
+    return report, trace, {"result.csv": (["side", "row", "col", "value"], rows)}
 
 
 def run(argv=None) -> int:
-    """Parse arguments, execute the subcommand, and map errors to codes."""
+    """Parse arguments, run the subcommand, write its artifacts, map errors to codes."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config is not None:
             args = _apply_config(parser, args, argv)
-        return args.func(args)
+        report, trace, tables = args.func(args)
+        _write(args.out, report, [("command", args.command), *trace], tables)
+        return 0
     except TsfactorError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for category, code in _EXIT_BY_ERROR:
-            if isinstance(exc, category):
-                return code
-        return 10
+        return exc.exit_code
 
 
 def main(argv=None) -> None:

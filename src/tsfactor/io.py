@@ -24,8 +24,10 @@ __all__ = [
     "fmt_float",
     "ingest_csv",
     "ingest_matrix_csv",
+    "loadings_table",
     "read_loadings_csv",
     "write_loadings_csv",
+    "write_table",
     "write_text",
     "write_trace_kv",
 ]
@@ -201,15 +203,25 @@ def ingest_matrix_csv(path) -> MatrixPanel:
     return MatrixPanel(np.asarray(blocks, dtype=float))
 
 
+def write_table(path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write a CSV table row by row: floats in :func:`fmt_float` form, None
+    as an empty cell, and a cell holding a comma, quote or newline quoted."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([fmt_float(v) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def loadings_table(loading: np.ndarray, names: Iterable[str]) -> tuple[list[str], Iterable]:
+    """The header and rows of a loading matrix, one labelled row per series."""
+    loading = np.asarray(loading, dtype=float)
+    header = ["series"] + [f"a{j + 1}" for j in range(loading.shape[1])]
+    return header, ([name, *row] for name, row in zip(names, loading))
+
+
 def write_loadings_csv(path, loading: np.ndarray, names: Iterable[str]) -> None:
     """Write a loading matrix with one labelled row per series."""
-    loading = np.asarray(loading, dtype=float)
-    names = list(names)
-    with open(path, "w", newline="\n") as fh:
-        header = ["series"] + [f"a{j + 1}" for j in range(loading.shape[1])]
-        fh.write(",".join(header) + "\n")
-        for name, row in zip(names, loading):
-            fh.write(",".join([name] + [fmt_float(v) for v in row]) + "\n")
+    write_table(path, *loadings_table(loading, names))
 
 
 def read_loadings_csv(path) -> np.ndarray:

@@ -1,5 +1,6 @@
 """CSV ingestion, artifact serialization, and command-line behavior."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import tsfactor.io
 from tsfactor.cli import build_parser, run
 from tsfactor.errors import IngestError, TsfactorError
-from tsfactor.factor import EstimatorConfig
+from tsfactor.factor import EstimatorConfig, estimate
 from tsfactor.io import (
     fmt_float,
     ingest_csv,
@@ -373,16 +374,47 @@ class TestCliEstimate:
         factors = np.loadtxt(out / "factors.csv", delimiter=",", skiprows=1)
         assert factors.reshape(90, -1).shape == (90, r)
 
-    def test_rerun_is_byte_identical(self, tmp_path):
-        src = tmp_path / "panel.csv"
-        write_panel_csv(src)
+    RERUN = {
+        "estimate": ["panel.csv", "--q", "6"],
+        "select-q": ["panel.csv", "--q0", "6"],
+        "simulate": ["--p", "12", "--n", "60", "--runs", "2", "--seed", "3", "--method", "cov"],
+        "forecast": ["panel.csv", "--method", "cov", "--r", "1", "--n1", "100"],
+        "matrix-estimate": ["mat.csv", "--d1", "1", "--d2", "1"],
+    }
+
+    @pytest.mark.parametrize("command", list(RERUN))
+    def test_rerun_is_byte_identical(self, tmp_path, capsys, command):
+        write_panel_csv(tmp_path / "panel.csv", n=110)
+        write_matrix_csv(tmp_path / "mat.csv", n=40)
+        args = [str(tmp_path / a) if a.endswith(".csv") else a for a in self.RERUN[command]]
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            assert run(["estimate", str(src), "--out", str(out), "--q", "6"]) == 0
+            assert run([command, *args, "--out", str(out)]) == 0
+            assert capsys.readouterr().out == (out / "report.txt").read_text()
+            assert (out / "trace.kv").read_text().splitlines()[0] == f"command={command}"
             outs.append(out)
-        for artifact in ("report.txt", "result.csv", "trace.kv", "factors.csv"):
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert names == sorted(path.name for path in outs[1].iterdir())
+        assert {"report.txt", "result.csv", "trace.kv"} <= set(names)
+        for artifact in names:
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+
+    def test_series_names_with_commas_and_quotes_round_trip(self, tmp_path):
+        src = tmp_path / "panel.csv"
+        write_panel_csv(src, p=6, n=80)
+        lines = src.read_text().splitlines()
+        lines[0] = '"a,b",c,"d""e",s4,s5,s6'
+        src.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run(["estimate", str(src), "--method", "cov", "--r", "2", "--out", str(out)]) == 0
+        fit = estimate(ingest_csv(src), EstimatorConfig(method="cov", r_fixed=2))
+        loading = read_loadings_csv(out / "result.csv")
+        assert loading.shape == (6, 2)
+        assert np.array_equal(loading, fit.A_hat)
+        with open(out / "result.csv", newline="") as fh:
+            names = [row[0] for row in csv.reader(fh)][1:]
+        assert names == ["a,b", "c", 'd"e', "s4", "s5", "s6"]
 
     def test_fixed_rank_and_no_demean_flags(self, tmp_path):
         raw = tmp_path / "raw.csv"
@@ -438,6 +470,16 @@ class TestCliErrors:
         assert run(["estimate", str(bad), "--out", str(tmp_path / "o")]) == 3
         assert "line 3, column 2" in capsys.readouterr().err
         assert run(["estimate", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_unwritable_out_exits_10(self, tmp_path, capsys, command):
+        src = tmp_path / "panel.csv"
+        write_panel_csv(src, p=8, n=40)
+        args = {"estimate": ["estimate", str(src)],
+                "simulate": ["simulate", "--p", "8", "--n", "40", "--runs", "1", "--method", "cov"]}
+        for out in (src, src / "sub"):  # a regular file, then a path under it
+            assert run([*args[command], "--out", str(out)]) == 10
+            assert "error: cannot write" in capsys.readouterr().err
 
     def test_invalid_config_exits_5(self, tmp_path):
         src = tmp_path / "panel.csv"
