@@ -29,7 +29,8 @@ panel scaled by a power of two, which is exact (Higham 2002, ch. 2).
 When p > n, :func:`estimate` and :func:`rrr_solution` run in the panel's
 n-dimensional row space: they fit the n-by-n scores Z of a thin QR
 ``y' = V Z'``, since ``Omega(k) = V Omega_Z(k) V'``, and lift the basis
-back with V.  The numbers agree with the p-by-p route to round-off.
+back as ``V a`` through the QR's Householder reflectors, never forming V
+(see :func:`_row_space`).  The numbers agree with the p-by-p route to round-off.
 :func:`estimate` is the one entry to the q scan: a ``wauto`` fit with
 ``q="auto"`` scans on its config's ``m``, ``q0`` and ``bic_c`` and
 records the scan's :class:`~tsfactor.modelselect.BicTrace` as
@@ -57,6 +58,7 @@ from .tsstats import (
     EigenPairs,
     LagCovSet,
     TimePanel,
+    _demeaned_panel,
     _fix_signs,
     _in_units,
     _lag0_eigen,
@@ -370,23 +372,27 @@ def _choose_rank(ranked: np.ndarray, vartheta: float, bound: int, r_fixed: Optio
     return (r_sel if r_fixed is None else r_fixed), ratios
 
 
-def _row_space(panel: TimePanel) -> tuple[Optional[np.ndarray], TimePanel, int]:
-    """``(V, rows, e)``, kept on a demeaned panel y: rows holds ``y * 2**-e``,
-    e the binary exponent of ``max|y|``, or when p > n the scores Z of one
-    thin QR ``y' 2**-e = V Z'``; V is None when p <= n."""
+def _row_space(panel: TimePanel) -> tuple[Optional[tuple], TimePanel, int]:
+    """``(wy, rows, e)``, kept on a demeaned panel y: rows holds ``y * 2**-e``,
+    e the binary exponent of ``max|y|``, or when p > n the scores Z of one thin QR
+    ``y' 2**-e = V Z'``, and wy is ``(Y', T)`` with ``V = (I - Y T Y')[:, :n]``."""
     if "normalized" not in panel._memo:
         ys, e = _scaled(panel.data)
         memo = {"exponent": np.int64(e)}  # a numpy scalar: read-only, as memo entries are
         if panel.p > panel.n:
-            memo["basis"], tri = np.linalg.qr(ys.T)
-            memo["basis"].setflags(write=False)
-            ys = np.ascontiguousarray(tri.T)
-        ys.setflags(write=False)
-        rows = object.__new__(TimePanel)  # demeaned by construction: neither checked nor copied
-        vars(rows).update(data=ys, names=None, demeaned=True, _memo=memo)
-        panel._memo["normalized"] = rows
+            h, tau = np.linalg.qr(ys.T, mode="raw")  # geqrf alone: V is never formed
+            ys = np.ascontiguousarray(np.tril(h[:, : panel.n]))
+            keep = tau != 0  # a reflector with tau 0 is the identity, as for constant series
+            yt = (np.triu(h, 1) + np.eye(*h.shape))[keep]
+            # the compact WY form (Schreiber & Van Loan 1989) with T^-1 = striu(Y'Y) + diag(1/tau)
+            # (Joffrain, Low, Quintana-Orti, van de Geijn & Van Zee 2006)
+            memo["wy"] = (yt, np.linalg.inv(np.triu(yt @ yt.T, 1) + np.diag(1.0 / tau[keep])))
+            for arr in memo["wy"]:
+                arr.setflags(write=False)
+        rows = panel._memo["normalized"] = _demeaned_panel(ys)
+        rows._memo.update(memo)
     rows = panel._memo["normalized"]
-    return rows._memo.get("basis"), rows, int(rows._memo["exponent"])
+    return rows._memo.get("wy"), rows, int(rows._memo["exponent"])
 
 
 def _normalized(panel: TimePanel) -> tuple[np.ndarray, int]:
@@ -396,15 +402,21 @@ def _normalized(panel: TimePanel) -> tuple[np.ndarray, int]:
 
 
 def _lifted(
-    v: Optional[np.ndarray], a: np.ndarray, w: Optional[WeightMatrix]
+    wy: Optional[tuple], a: np.ndarray, w: Optional[WeightMatrix]
 ) -> tuple[np.ndarray, Optional[WeightMatrix]]:
-    """A basis and weight fitted on row-space scores, back in p coordinates
-    and signed as a p-by-p fit signs them; unchanged when ``v`` is None."""
-    if v is None:
+    """A basis and weight fitted on row-space scores, lifted as ``V x = [x; 0] - Y T Y'[x; 0]``
+    and signed as a p-by-p fit signs them; unchanged when ``wy`` is None."""
+    if wy is None:
         return a, w
+    yt, t = wy
+
+    def lift(x: np.ndarray) -> np.ndarray:
+        head = yt[:, : len(x)]
+        return _fix_signs(np.pad(x, ((0, yt.shape[1] - len(x)), (0, 0))) - yt.T @ (t @ (head @ x)))
+
     if w is not None:
-        w = WeightMatrix(Q=_fix_signs(v @ w.Q), theta=w.theta, q=w.q)
-    return _fix_signs(v @ a), w
+        w = WeightMatrix(Q=lift(w.Q), theta=w.theta, q=w.q)
+    return lift(a), w
 
 
 def estimate(panel: TimePanel, cfg: EstimatorConfig) -> FactorFit:
@@ -434,7 +446,7 @@ def estimate(panel: TimePanel, cfg: EstimatorConfig) -> FactorFit:
         raise InvalidConfig(
             f"q={cfg.q} exceeds n - m = {n - cfg.m}, the rows of the lag-{cfg.m} regression"
         )
-    v, rows, e = _row_space(panel)
+    wy, rows, e = _row_space(panel)
     lag0 = None if cfg.method == "auto" else _lag0_eigen(rows)
 
     w, trace = None, None
@@ -473,7 +485,7 @@ def estimate(panel: TimePanel, cfg: EstimatorConfig) -> FactorFit:
     else:  # [B_1 ... B_m] [B_1 ... B_m]' is the weighted m_hat
         stacked = np.hstack([_half_weighted(lag, w) for lag in covs.lags])
         a = _fix_signs(np.linalg.svd(stacked, full_matrices=False)[0][:, :r])
-    a, w = _lifted(v, a, w)
+    a, w = _lifted(wy, a, w)
     ys = None if w is None else _normalized(panel)[0]  # H does not depend on y's scale
     h_hat = None if w is None else tuple(
         _lag_fit(*_gram_cross(ys[: n - k] @ w.Q, ys[k:] @ a), 0.0)[0] for k in range(1, cfg.m + 1)
@@ -542,11 +554,11 @@ def rrr_solution(
         raise InvalidConfig(
             f"need 1 <= r <= q <= min(p, n-k) = {min(p, n - k)}, got r={r}, q={q}"
         )
-    v, rows, _ = _row_space(panel)
+    wy, rows, _ = _row_space(panel)
     w = _rank_q_weight(_lag0_eigen(rows), q, n)
     lag = sample_autocov(rows, k).lags[k - 1]
     u, _, _ = np.linalg.svd(_half_weighted(lag, w), full_matrices=False)
-    a, w = _lifted(v, _fix_signs(u[:, :r]), w)
+    a, w = _lifted(wy, _fix_signs(u[:, :r]), w)
     y, e = _normalized(panel)  # H is invariant to the scale; the objective scales by 4**e
     h, objective = _lag_fit(*_gram_cross(y[: n - k] @ w.Q, y[k:] @ a), float(np.sum(y[k:] ** 2)))
     return a, h, float(_in_units(objective, 2 * e, "rank-r regression objective"))
@@ -564,6 +576,6 @@ def two_step(
     panel = demean(panel)
     strong = estimate(panel, cfg)
     resid = panel.data - strong.factors @ strong.A_hat.T
-    residual_panel = TimePanel(resid, names=panel.names, demeaned=True)
+    residual_panel = _demeaned_panel(resid, panel.names)
     weak = estimate(residual_panel, cfg)
     return strong, weak, residual_panel

@@ -10,6 +10,7 @@ as UTF-8, with or without a byte-order mark.  Ingestion errors carry the
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from typing import Iterable, Optional
@@ -204,12 +205,18 @@ def ingest_matrix_csv(path) -> MatrixPanel:
 
 
 def write_table(path, header: list[str], rows: Iterable[Iterable]) -> None:
-    """Write a CSV table row by row: floats in :func:`fmt_float` form, None
-    as an empty cell, and a cell holding a comma, quote or newline quoted."""
+    """Write a CSV table: floats in :func:`fmt_float` form, None as an empty
+    cell, and a cell holding a comma, quote or newline quoted; a table with
+    a carriage return in any cell has every cell quoted."""
+    table = [header, *([fmt_float(v) if isinstance(v, float) else v for v in row] for row in rows)]
+    # csv quotes the terminator's \n but not a \r, at which readers end a row too
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n", quoting=quoting).writerows(table)
+        if "\r" not in text.getvalue():
+            break
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([fmt_float(v) if isinstance(v, float) else v for v in row] for row in rows)
+        fh.write(text.getvalue())
 
 
 def loadings_table(loading: np.ndarray, names: Iterable[str]) -> tuple[list[str], Iterable]:
@@ -225,13 +232,10 @@ def write_loadings_csv(path, loading: np.ndarray, names: Iterable[str]) -> None:
 
 
 def read_loadings_csv(path) -> np.ndarray:
-    """Read back a loading matrix written by :func:`write_loadings_csv`."""
-    rows = _read_rows(path)
-    if not rows or len(rows) < 2:
-        raise IngestError(f"{path} has no loading rows")
-    out = []
-    for line, row in rows[1:]:
-        out.append([_cell_value(cell, line, c + 2) for c, cell in enumerate(row[1:])])
+    """Read back a loading matrix written by :func:`write_loadings_csv`; a
+    row unlike the first in width raises :class:`IngestError` naming its line."""
+    _, rows = _data_rows(path)
+    out = [[_cell_value(cell, line, c + 2) for c, cell in enumerate(row[1:])] for line, row in rows]
     return np.asarray(out, dtype=float)
 
 

@@ -175,8 +175,18 @@ def demean(panel: TimePanel) -> TimePanel:
         return panel
     if "demeaned" not in panel._memo:
         centered = panel.data - panel.data.mean(axis=0)
-        panel._memo["demeaned"] = TimePanel(centered, names=panel.names, demeaned=True)
+        panel._memo["demeaned"] = _demeaned_panel(centered, panel.names)
     return panel._memo["demeaned"]
+
+
+def _demeaned_panel(data: np.ndarray, names: tuple[str, ...] | None = None) -> TimePanel:
+    """A read-only panel of data the package centered itself, neither copied nor held
+    to a flagged panel's zero-mean check, which the mean's round-off can fail far from 0."""
+    data = _as_float_matrix(data, "panel data")
+    data.setflags(write=False)
+    panel = object.__new__(TimePanel)
+    vars(panel).update(data=data, names=names, demeaned=True, _memo={})
+    return panel
 
 
 def _mean_product(a: np.ndarray, b: np.ndarray, count: int, what: str, e: int = 0) -> np.ndarray:

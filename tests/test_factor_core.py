@@ -555,6 +555,21 @@ def test_two_step_residuals_orthogonal_to_strong_loadings():
     assert 0.0 <= d <= 1.0
 
 
+def test_two_step_fits_the_residuals_of_an_exact_low_rank_panel():
+    # The residuals of an exact rank-2 panel are 1e-12 noise whose column
+    # means carry round-off of the data's size; they must not be held to the
+    # zero-mean check of a panel a caller flags as demeaned.
+    rng = np.random.default_rng(1)
+    y = rng.standard_normal((100, 2)) @ rng.standard_normal((30, 2)).T
+    panel = TimePanel(y + 1e-12 * rng.standard_normal((100, 30)))
+    for method in ("cov", "auto"):
+        strong, weak, resid = two_step(panel, EstimatorConfig(method=method, r_fixed=2))
+        assert (strong.r_hat, weak.r_hat) == (2, 2)
+        assert resid.demeaned and not resid.data.flags.writeable
+    with pytest.raises(IllConditioned):  # rank 2 admits no q = 15 weight
+        two_step(panel, EstimatorConfig(method="wauto", r_fixed=2))
+
+
 def test_two_step_recovers_both_ranks_in_majority():
     """Strong and weak ranks are both found in most replications.
 

@@ -416,6 +416,30 @@ class TestCliEstimate:
             names = [row[0] for row in csv.reader(fh)][1:]
         assert names == ["a,b", "c", 'd"e', "s4", "s5", "s6"]
 
+    def test_a_series_name_holding_a_carriage_return_round_trips(self, tmp_path):
+        # csv quotes the writer's \n terminator but not a \r, at which a
+        # reader also ends the row; result.csv must still read back
+        src = tmp_path / "panel.csv"
+        write_panel_csv(src, p=6, n=80)
+        lines = src.read_text().splitlines()
+        lines[0] = '"a\rb",c,"d\r\ne",s4,s5,s6'
+        with open(src, "w", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run(["estimate", str(src), "--method", "cov", "--r", "2", "--out", str(out)]) == 0
+        fit = estimate(ingest_csv(src), EstimatorConfig(method="cov", r_fixed=2))
+        assert np.array_equal(read_loadings_csv(out / "result.csv"), fit.A_hat)
+        with open(out / "result.csv", newline="") as fh:
+            names = [row[0] for row in csv.reader(fh)][1:]
+        assert names == ["a\rb", "c", "d\r\ne", "s4", "s5", "s6"]
+
+    def test_a_ragged_loadings_file_raises_ingest_error_naming_the_line(self, tmp_path):
+        f = tmp_path / "result.csv"
+        f.write_text("series,a1\nv1,0.6\nv2\n0.8\n")
+        with pytest.raises(IngestError, match="line 3") as caught:
+            read_loadings_csv(f)
+        assert caught.value.row == 3
+
     def test_fixed_rank_and_no_demean_flags(self, tmp_path):
         raw = tmp_path / "raw.csv"
         write_panel_csv(raw, p=6, n=60)

@@ -1,7 +1,8 @@
 """The p > n fit in the panel's row space against the p-by-p route.
 
 When p > n, ``estimate`` fits the n-by-n scores ``Z`` of a thin QR
-``y' = V Z'`` and lifts the basis back with ``V``.  ``dense_fit`` below
+``y' = V Z'`` and lifts the basis back through the QR's Householder
+reflectors, without forming ``V``.  ``dense_fit`` below
 is the p-by-p route: it forms every p-by-p autocovariance, weight and
 aggregate, and solves ``H_hat`` by ``lstsq``.  The two must agree to
 round-off, with identical ranks, q and shapes.
@@ -95,6 +96,14 @@ def duplicated_panel() -> np.ndarray:
     return y + 1e-8 * rng.standard_normal(y.shape)
 
 
+def constant_tail_panel() -> np.ndarray:
+    """120 series at n=40 whose last 80 are constant: demeaned, they are 0,
+    and the QR's last Householder reflector is the identity (tau = 0)."""
+    y = ar_panel(5, 40, 120)
+    y[:, 40:] = np.arange(80.0)
+    return y
+
+
 def two_strength_panel() -> np.ndarray:
     spec = SimulationSpec(model="twostrength", n=100, p=300, r0=2, r1=2, delta0=1.0, delta1=0.5)
     return np.asarray(generate_two_strength(spec, 3)[0].data)
@@ -105,6 +114,7 @@ PANELS = {
     "40x12": lambda: ar_panel(2, 12, 40),
     "two_strength": two_strength_panel,
     "duplicated": duplicated_panel,
+    "constant_tail": constant_tail_panel,
 }
 
 CONFIGS = {

@@ -302,6 +302,21 @@ def test_demean_accepts_tiny_scales(scale):
     assert np.abs(out.data.mean(axis=0)).max() <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("method", ["cov", "auto", "wauto"])
+def test_a_series_far_from_zero_fits_after_demeaning(method):
+    # Centering 1e8 + 1e-4 noise leaves a mean of round-off near 1e-9, far
+    # above 1e-10 times the series' spread, yet the centering is exact work.
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal((100, 5))
+    y[:, 0] = 1e8 + 1e-4 * rng.standard_normal(100)
+    panel = TimePanel(y)
+    centered = demean(panel)
+    assert centered.demeaned and not centered.data.flags.writeable
+    assert estimate(panel, EstimatorConfig(method=method)).A_hat.shape[0] == 5
+    with pytest.raises(InvalidData):  # a caller's flag is still checked
+        TimePanel(centered.data, demeaned=True)
+
+
 def test_demeaned_flag_still_rejected_at_tiny_scales():
     for scale in (1.0, 1e-200, 2.0**-600):
         with pytest.raises(InvalidData):
