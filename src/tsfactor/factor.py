@@ -23,14 +23,17 @@ lag-regression kernel, in Gram form, serves :func:`rrr_solution`, the
 BIC scan and the ``wauto`` coefficients ``H_hat``.  Each spectrum is one
 symmetric eigensolve of the smaller Gram of a half-product B_k with
 ``B_k B_k' = Omega(k) W Omega(k)'``; the ``wauto`` basis is the top of
-one thin SVD of the stacked ``[B_1 ... B_m]``.  Every moment is formed on the
-panel scaled by a power of two, which is exact (Higham 2002, ch. 2).
+one thin SVD of the stacked ``[B_1 ... B_m]``.  Every moment and every lag
+regression is formed on the memo's panel scaled by a power of two, which is
+exact (Higham 2002, ch. 2).
 
 When p > n, :func:`estimate` and :func:`rrr_solution` run in the panel's
 n-dimensional row space: they fit the n-by-n scores Z of a thin QR
 ``y' = V Z'``, since ``Omega(k) = V Omega_Z(k) V'``, and lift the basis
 back as ``V a`` through the QR's Householder reflectors, never forming V
-(see :func:`_row_space`).  The numbers agree with the p-by-p route to round-off.
+(see :func:`_row_space`).  The lag regressions stay on Z, as
+``y[:n-k] V Q = Z[:n-k] Q``, with Q and a signed as their lifts are.  The
+numbers agree with the p-by-p route to round-off.
 :func:`estimate` is the one entry to the q scan: a ``wauto`` fit with
 ``q="auto"`` scans on its config's ``m``, ``q0`` and ``bic_c`` and
 records the scan's :class:`~tsfactor.modelselect.BicTrace` as
@@ -60,6 +63,7 @@ from .tsstats import (
     TimePanel,
     _demeaned_panel,
     _fix_signs,
+    _flips,
     _in_units,
     _lag0_eigen,
     _scaled,
@@ -395,28 +399,16 @@ def _row_space(panel: TimePanel) -> tuple[Optional[tuple], TimePanel, int]:
     return rows._memo.get("wy"), rows, int(rows._memo["exponent"])
 
 
-def _normalized(panel: TimePanel) -> tuple[np.ndarray, int]:
-    """``(y * 2**-e, e)`` of a demeaned panel: the memo's copy when p <= n."""
-    _, rows, e = _row_space(panel) if panel.p <= panel.n else (None, None, None)
-    return _scaled(panel.data) if rows is None else (rows.data, e)
-
-
-def _lifted(
-    wy: Optional[tuple], a: np.ndarray, w: Optional[WeightMatrix]
-) -> tuple[np.ndarray, Optional[WeightMatrix]]:
-    """A basis and weight fitted on row-space scores, lifted as ``V x = [x; 0] - Y T Y'[x; 0]``
-    and signed as a p-by-p fit signs them; unchanged when ``wy`` is None."""
+def _lifted(wy: Optional[tuple], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(V x s, x s)`` for a basis x fitted on row-space scores: its lift ``V x = [x; 0] -
+    Y T Y'[x; 0]`` and x, with the column signs s that sign the lift as a p-by-p fit signs
+    it; ``(x, x)`` when ``wy`` is None."""
     if wy is None:
-        return a, w
+        return x, x
     yt, t = wy
-
-    def lift(x: np.ndarray) -> np.ndarray:
-        head = yt[:, : len(x)]
-        return _fix_signs(np.pad(x, ((0, yt.shape[1] - len(x)), (0, 0))) - yt.T @ (t @ (head @ x)))
-
-    if w is not None:
-        w = WeightMatrix(Q=lift(w.Q), theta=w.theta, q=w.q)
-    return lift(a), w
+    vx = np.pad(x, ((0, yt.shape[1] - len(x)), (0, 0))) - yt.T @ (t @ (yt[:, : len(x)] @ x))
+    signs = np.where(_flips(vx), -1.0, 1.0)
+    return vx * signs, x * signs
 
 
 def estimate(panel: TimePanel, cfg: EstimatorConfig) -> FactorFit:
@@ -485,11 +477,14 @@ def estimate(panel: TimePanel, cfg: EstimatorConfig) -> FactorFit:
     else:  # [B_1 ... B_m] [B_1 ... B_m]' is the weighted m_hat
         stacked = np.hstack([_half_weighted(lag, w) for lag in covs.lags])
         a = _fix_signs(np.linalg.svd(stacked, full_matrices=False)[0][:, :r])
-    a, w = _lifted(wy, a, w)
-    ys = None if w is None else _normalized(panel)[0]  # H does not depend on y's scale
-    h_hat = None if w is None else tuple(
-        _lag_fit(*_gram_cross(ys[: n - k] @ w.Q, ys[k:] @ a), 0.0)[0] for k in range(1, cfg.m + 1)
-    )
+    a, a_rows = _lifted(wy, a)
+    h_hat = None
+    if w is not None:  # H depends neither on y's scale nor on its row-space coordinates
+        y, q_rows = rows.data, _lifted(wy, w.Q)[1]
+        h_hat = tuple(
+            _lag_fit(*_gram_cross(y[: n - k] @ q_rows, y[k:] @ a_rows), 0.0)[0]
+            for k in range(1, cfg.m + 1)
+        )
     return FactorFit(
         method=cfg.method,
         r_hat=r,
@@ -554,13 +549,14 @@ def rrr_solution(
         raise InvalidConfig(
             f"need 1 <= r <= q <= min(p, n-k) = {min(p, n - k)}, got r={r}, q={q}"
         )
-    wy, rows, _ = _row_space(panel)
+    wy, rows, e = _row_space(panel)
     w = _rank_q_weight(_lag0_eigen(rows), q, n)
     lag = sample_autocov(rows, k).lags[k - 1]
     u, _, _ = np.linalg.svd(_half_weighted(lag, w), full_matrices=False)
-    a, w = _lifted(wy, _fix_signs(u[:, :r]), w)
-    y, e = _normalized(panel)  # H is invariant to the scale; the objective scales by 4**e
-    h, objective = _lag_fit(*_gram_cross(y[: n - k] @ w.Q, y[k:] @ a), float(np.sum(y[k:] ** 2)))
+    a, a_rows = _lifted(wy, _fix_signs(u[:, :r]))
+    y = rows.data  # H is invariant to the scale; the objective scales by 4**e
+    design = y[: n - k] @ _lifted(wy, w.Q)[1]
+    h, objective = _lag_fit(*_gram_cross(design, y[k:] @ a_rows), float(np.sum(y[k:] ** 2)))
     return a, h, float(_in_units(objective, 2 * e, "rank-r regression objective"))
 
 

@@ -100,8 +100,8 @@ def _bulk_rows(path) -> Optional[tuple[Optional[list[str]], np.ndarray]]:
     """The header row, if any, and the data rows parsed in one C-level call,
     or None where the cell scan must run: ``np.loadtxt`` reads strtod's
     grammar, a subset of ``float()``'s, into the same doubles, and a file
-    it rejects or warns on, or one with a non-finite value or a header
-    unlike the data in width, is left to the scan to name the bad cell."""
+    it rejects or warns on, or one with a non-finite value, is left to the
+    scan to name the bad cell."""
     try:
         with open(path, "rb") as fh:  # \x1c-\x1f are whitespace to numpy, not to float()
             if any(map(fh.read().__contains__, b"\x1c\x1d\x1e\x1f")):
@@ -118,8 +118,20 @@ def _bulk_rows(path) -> Optional[tuple[Optional[list[str]], np.ndarray]]:
             )
     except Exception:
         return None
-    if not np.isfinite(values).all() or header is not None and len(header) != values.shape[1]:
-        return None
+    return (header, values) if np.isfinite(values).all() else None
+
+
+def _table(path) -> tuple[Optional[list[str]], np.ndarray]:
+    """The header row, if any, and the data rows as floats: parsed in bulk where
+    :func:`_bulk_rows` can, else by the cell scan, which names the first bad cell."""
+    bulk = _bulk_rows(path)
+    if bulk is not None:
+        return bulk
+    header, rows = _data_rows(path)
+    values = np.empty((len(rows), len(rows[0][1])))
+    for r, (line, row) in enumerate(rows):
+        for c, cell in enumerate(row):
+            values[r, c] = _cell_value(cell, line, c + 1)
     return header, values
 
 
@@ -132,37 +144,19 @@ def ingest_csv(path, demean_panel: bool = True) -> TimePanel:
     offending location.  The panel is demeaned unless ``demean_panel``
     is False.
     """
-    header, data = _bulk_rows(path) or (None, None)
-    if data is None:
-        header, rows = _data_rows(path)
-        width = len(rows[0][1])
-        if header is not None and len(header) != width:
-            raise IngestError(
-                f"header has {len(header)} names but line {rows[0][0]} has {width} cells",
-                row=rows[0][0],
-            )
-        data = np.empty((len(rows), width))
-        for r, (line, row) in enumerate(rows):
-            for c, cell in enumerate(row):
-                data[r, c] = _cell_value(cell, line, c + 1)
+    header, data = _table(path)
+    width = data.shape[1]
     if header is None:
-        names = tuple(f"v{j + 1}" for j in range(data.shape[1]))
+        names = tuple(f"v{j + 1}" for j in range(width))
+    elif len(header) != width:
+        line = _data_rows(path)[1][0][0]  # file lines are looked up only for an error
+        raise IngestError(
+            f"header has {len(header)} names but line {line} has {width} cells", row=line
+        )
     else:
         names = tuple(cell.strip() for cell in header)
     panel = TimePanel(data, names=names)
     return demean(panel) if demean_panel else panel
-
-
-def _bulk_blocks(values: np.ndarray) -> Optional[np.ndarray]:
-    """The (blocks, p1, p2) array of bulk-parsed matrix rows, or None when
-    the block index goes down or the blocks differ in size."""
-    n, width = values.shape
-    steps = np.diff(values[:, 0])
-    starts = np.flatnonzero(steps) + 1
-    p1 = starts[0] if len(starts) else n
-    if width < 2 or (steps < 0).any() or n % p1 or not np.array_equal(starts, np.arange(p1, n, p1)):
-        return None
-    return values[:, 1:].reshape(n // p1, p1, width - 1)
 
 
 def ingest_matrix_csv(path) -> MatrixPanel:
@@ -172,36 +166,23 @@ def ingest_matrix_csv(path) -> MatrixPanel:
     increasing block index in the first column; every block must have
     the same shape.
     """
-    bulk = _bulk_rows(path)
-    blocks = None if bulk is None else _bulk_blocks(bulk[1])
-    if blocks is not None:
-        return MatrixPanel(blocks)
-    _, rows = _data_rows(path)
-    width = len(rows[0][1])
+    values = _table(path)[1]
+    n, width = values.shape
     if width < 2:
         raise IngestError("matrix CSV needs a block index column plus data columns")
-    blocks: list[list[list[float]]] = []
-    indices: list[float] = []
-    for line, row in rows:
-        t = _cell_value(row[0], line, 1)
-        values = [_cell_value(cell, line, c + 2) for c, cell in enumerate(row[1:])]
-        if not indices or t != indices[-1]:
-            if indices and t <= indices[-1]:
-                raise IngestError(
-                    f"block index {fmt_float(t)} at line {line} does not increase",
-                    row=line,
-                    column=1,
-                )
-            indices.append(t)
-            blocks.append([])
-        blocks[-1].append(values)
-    p1 = len(blocks[0])
-    for b, block in enumerate(blocks):
-        if len(block) != p1:
-            raise IngestError(
-                f"block {fmt_float(indices[b])} has {len(block)} rows, expected {p1}"
-            )
-    return MatrixPanel(np.asarray(blocks, dtype=float))
+    index = values[:, 0]
+    steps = np.diff(index)
+    down = np.flatnonzero(steps < 0) + 1
+    if down.size:
+        t, line = fmt_float(index[down[0]]), _data_rows(path)[1][down[0]][0]
+        raise IngestError(f"block index {t} at line {line} does not increase", row=line, column=1)
+    starts = np.flatnonzero(np.r_[True, steps != 0])
+    sizes = np.diff(np.r_[starts, n])
+    odd = np.flatnonzero(sizes != sizes[0])
+    if odd.size:
+        t, size = fmt_float(index[starts[odd[0]]]), sizes[odd[0]]
+        raise IngestError(f"block {t} has {size} rows, expected {sizes[0]}")
+    return MatrixPanel(values[:, 1:].reshape(len(starts), sizes[0], width - 1))
 
 
 def write_table(path, header: list[str], rows: Iterable[Iterable]) -> None:

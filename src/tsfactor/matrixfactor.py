@@ -30,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfig, InvalidData
-from .factor import _Q_CAP, _check_fit, _check_lag_count, _choose_rank, _normalized, _rank_q_weight
-from .tsstats import TimePanel, _in_units, _mean_product, demean, sym_eigen
+from .factor import _Q_CAP, _check_fit, _check_lag_count, _choose_rank, _rank_q_weight
+from .tsstats import TimePanel, _in_units, _mean_product, _scaled, demean, sym_eigen
 
 __all__ = [
     "MatrixPanel",
@@ -96,7 +96,7 @@ def _side_aggregate(panel: MatrixPanel, m: int, q: int, slices: str) -> tuple[np
     """``(M, e)``, M the ``sum_k sum_ij Omega_ij(k) W_j Omega_ij(k)'`` over the
     column or row ``slices`` of the demeaned panel scaled by ``2**-e``, as a
     vector fit's; each ``W_j`` is the rank-q weight of ``y_j' y_j / n``."""
-    y, e = _normalized(demean(panel._flat))
+    y, e = _scaled(demean(panel._flat).data)
     y = y.reshape(panel.data.shape).transpose((0, 1, 2) if slices == "column" else (0, 2, 1))
     n, p, s = y.shape  # slice j is y[:, :, j]
     _check_lag_count(m, n)

@@ -249,11 +249,16 @@ def _lag0_eigen(panel: TimePanel) -> EigenPairs:
     return panel._memo["lag0_eigen"]
 
 
+def _flips(vectors: np.ndarray) -> np.ndarray:
+    """Whether each column's largest-magnitude entry is negative."""
+    lead = np.argmax(np.abs(vectors), axis=0)  # argmax takes the lowest index on ties
+    return vectors[lead, np.arange(vectors.shape[1])] < 0
+
+
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip eigenvector signs so the largest-magnitude entry is >= 0."""
     out = vectors.copy()
-    lead = np.argmax(np.abs(out), axis=0)  # argmax takes the lowest index on ties
-    out[:, out[lead, np.arange(out.shape[1])] < 0] *= -1.0
+    out[:, _flips(vectors)] *= -1.0
     return out
 
 

@@ -203,6 +203,8 @@ CSV_ERRORS = [
     pytest.param("a,b\n", "{path} has a header but no data rows", None, None, id="header-only"),
     pytest.param("a,b\n1,2\n3\n", "line 3 has 1 cells, expected 2", 3, None, id="ragged"),
     pytest.param("a,b,c\n1,2\n3,4\n", "header has 3 names but line 2 has 2 cells", 2, None, id="wide-header"),
+    # every cell is read before the header is matched to the data's width
+    pytest.param("a,b,c\n1,x\n3,4\n", "non-numeric cell 'x' at line 2, column 2", 2, 2, id="cell-before-header"),
     pytest.param("a,b\n1,\n3,4\n", "non-numeric cell '' at line 2, column 2", 2, 2, id="empty-cell"),
     # numpy's parser takes \x1c-\x1f for whitespace, float() does not
     pytest.param("a,b\n\x1c1,2\n3,4\n", "non-numeric cell '1' at line 2, column 1", 2, 1, id="separator"),
@@ -218,6 +220,15 @@ MATRIX_ERRORS = [
     pytest.param("t,a\n1,1.0\n1,2.0\n2,3.0\n", "block 2 has 1 rows, expected 2", None, None, id="unequal"),
     pytest.param("1,1\n2,2\n2,3\n2,4\n", "block 2 has 3 rows, expected 1", None, None, id="unequal-dividing"),
     pytest.param("t,a\n1,1.0\nnan,2.0\n", "non-finite cell 'nan' at line 3, column 1", 3, 1, id="nan-index"),
+    # line numbers count the blank and header lines the array skips
+    pytest.param("1,1\n1,2\n\n2,3\n2,4\n1,5\n1,6\n", "block index 1 at line 6 does not increase", 6, 1,
+                 id="after-blank-line"),
+    # a 1_0 cell sends the file to the cell scan; the blocks split as in the bulk parse
+    pytest.param("1,1_0\n1,2\n2,3\n1,4\n", "block index 1 at line 4 does not increase", 4, 1, id="scan-returns"),
+    pytest.param("1,1_0\n2,2\n2,3\n", "block 2 has 2 rows, expected 1", None, None, id="scan-unequal"),
+    # every cell is read before the blocks are split, so a bad cell is reported first
+    pytest.param("2,1\n1,2\n1,x\n", "non-numeric cell 'x' at line 3, column 2", 3, 2, id="cell-before-index"),
+    pytest.param("1\nx\n", "non-numeric cell 'x' at line 2, column 1", 2, 1, id="cell-before-width"),
 ]
 
 
@@ -253,7 +264,7 @@ class TestIngestSeams:
         panel = ingest_matrix_csv(path)
         assert panel.data.tobytes() == np.arange(1.0, 9.0).tobytes()
         assert panel.data.shape == (2, 2, 2)
-        assert tsfactor.io._bulk_blocks(tsfactor.io._bulk_rows(path)[1]) is not None
+        assert tsfactor.io._bulk_rows(path) is not None
 
     def test_matrix_scan_drops_a_byte_order_mark(self, tmp_path):
         path = write_exact(tmp_path / "m.csv", "\ufeff1,1,2\n1,3,4\n2,5,6\n2,7,8_0\n")

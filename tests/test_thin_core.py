@@ -262,6 +262,25 @@ def test_rrr_solution_forms_no_p_by_p_matrix(monkeypatch, k, q, r):
     assert objective == pytest.approx(want_objective, rel=1e-10)
 
 
+def test_a_warm_row_space_regression_copies_no_n_by_p_panel():
+    # H_hat and the rrr objective are fitted on the memo's n-by-n scores
+    n, p = 100, 400
+    panel = TimePanel(ar_panel(4, n, p))
+    fits = {
+        "estimate": lambda: estimate(panel, EstimatorConfig(method="wauto")),
+        "rrr_solution": lambda: rrr_solution(panel, 1, 6, 2),
+    }
+    for name, fit in fits.items():
+        fit()  # the warm-up fills the memo: the QR, the lag products, the lag-0 eigenpairs
+        tracemalloc.start()
+        try:
+            fit()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < np.dtype(float).itemsize * n * p, name
+
+
 @pytest.mark.parametrize("n, p", [(50, 200), (80, 20)])
 def test_three_methods_on_one_panel_share_one_qr_and_one_lag0_eigen(monkeypatch, n, p):
     seen = record_core_calls(monkeypatch)
