@@ -61,7 +61,7 @@ from .tsstats import (
     EigenPairs,
     LagCovSet,
     TimePanel,
-    _demeaned_panel,
+    _built_panel,
     _fix_signs,
     _flips,
     _in_units,
@@ -393,7 +393,7 @@ def _row_space(panel: TimePanel) -> tuple[Optional[tuple], TimePanel, int]:
             memo["wy"] = (yt, np.linalg.inv(np.triu(yt @ yt.T, 1) + np.diag(1.0 / tau[keep])))
             for arr in memo["wy"]:
                 arr.setflags(write=False)
-        rows = panel._memo["normalized"] = _demeaned_panel(ys)
+        rows = panel._memo["normalized"] = _built_panel(ys)
         rows._memo.update(memo)
     rows = panel._memo["normalized"]
     return rows._memo.get("wy"), rows, int(rows._memo["exponent"])
@@ -556,7 +556,7 @@ def rrr_solution(
     a, a_rows = _lifted(wy, _fix_signs(u[:, :r]))
     y = rows.data  # H is invariant to the scale; the objective scales by 4**e
     design = y[: n - k] @ _lifted(wy, w.Q)[1]
-    h, objective = _lag_fit(*_gram_cross(design, y[k:] @ a_rows), float(np.sum(y[k:] ** 2)))
+    h, objective = _lag_fit(*_gram_cross(design, y[k:] @ a_rows), float(np.vdot(y[k:], y[k:])))
     return a, h, float(_in_units(objective, 2 * e, "rank-r regression objective"))
 
 
@@ -572,6 +572,6 @@ def two_step(
     panel = demean(panel)
     strong = estimate(panel, cfg)
     resid = panel.data - strong.factors @ strong.A_hat.T
-    residual_panel = _demeaned_panel(resid, panel.names)
+    residual_panel = _built_panel(resid, panel.names)
     weak = estimate(residual_panel, cfg)
     return strong, weak, residual_panel

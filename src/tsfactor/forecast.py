@@ -14,6 +14,14 @@ the Hannan-Rissanen two-stage regression and is refined by
 Levenberg-Marquardt.  Everything here is deterministic; no random
 numbers are drawn.
 
+The driver prepares each window once.  Every mean and sd is taken on the
+panel scaled once by a power of two: exact, so no square overflows.  A
+window is standardized in one new buffer by ``np.std``'s own arithmetic
+and handed to the fits uncopied.  Its sds are 1 by construction, so its
+column means settle :func:`pipeline_forecast`'s check once; a window that
+fails them is checked in full, and fails, in every method.  An MSFE past
+the double range (errors near 1e154 and up) raises ``InvalidData``.
+
 scipy is imported only where an order with an MA part is fitted or
 filtered: :func:`least_squares` and :func:`_css_residuals` import it on
 their first call.  A pure AR order takes its residuals from its own lag
@@ -31,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidData, PreconditionViolated, TsfactorError
 from .factor import EstimatorConfig, _method_labels, estimate
-from .tsstats import TimePanel
+from .tsstats import TimePanel, _built_panel, _in_units, _scaled
 
 __all__ = [
     "ArmaFit",
@@ -49,6 +57,7 @@ ZERO_BASELINE = "zero"
 
 _ROOT_TOL = 1e-6
 _MIN_SERIES = 30
+_MEAN_TOL = 1e-6  # the largest column mean a standardized panel may have
 
 
 @dataclass(frozen=True)
@@ -87,6 +96,8 @@ def _roots_outside_unit_circle(coeffs) -> bool:
         return True
     if not np.all(np.isfinite(c)):
         return False
+    if c.size == 1:  # the root of 1 - c z is 1/c, the double np.roots returns
+        return bool(abs(c[0]) < 1.0 or abs(1.0 / c[0]) > 1.0 - _ROOT_TOL)
     roots = np.roots(np.r_[-c[::-1], 1.0])
     return bool(np.all(np.abs(roots) > 1.0 - _ROOT_TOL))
 
@@ -174,7 +185,7 @@ def fit_arma(series, max_ar: int = 3, max_ma: int = 3) -> ArmaFit:
     n = y.shape[0]
     mu = float(np.mean(y))
     z = y - mu
-    best: Optional[ArmaFit] = None
+    best: Optional[tuple] = None  # (aic, order, ar, ma, sigma2, residuals) of the winner
     for p in range(max_ar + 1):
         for q in range(max_ma + 1):
             if p == 0 and q == 0:
@@ -210,16 +221,8 @@ def fit_arma(series, max_ar: int = 3, max_ma: int = 3) -> ArmaFit:
             if not np.isfinite(sigma2) or sigma2 < 1e-300:
                 continue
             aic = n * math.log(sigma2) + 2.0 * (p + q + 1)
-            if best is None or aic < best.aic:
-                best = ArmaFit(
-                    order=(p, q),
-                    ar_coeffs=tuple(float(c) for c in ar),
-                    ma_coeffs=tuple(float(c) for c in ma),
-                    intercept=mu,
-                    innovation_variance=sigma2,
-                    aic=aic,
-                    residuals=eps,
-                )
+            if best is None or aic < best[0]:
+                best = (aic, (p, q), ar, ma, sigma2, eps)
     if best is None:
         return ArmaFit(
             order=(0, 0),
@@ -231,7 +234,8 @@ def fit_arma(series, max_ar: int = 3, max_ma: int = 3) -> ArmaFit:
             residuals=z,
             fallback_ar0=True,
         )
-    return best
+    aic, order, ar, ma, sigma2, eps = best
+    return ArmaFit(order, tuple(map(float, ar)), tuple(map(float, ma)), mu, sigma2, aic, eps)
 
 
 def forecast_arma(fit: ArmaFit, history, h: int) -> float:
@@ -277,13 +281,29 @@ def forecast_metrics(predictions, truths) -> tuple[float, float]:
     if not (np.all(np.isfinite(pred)) and np.all(np.isfinite(true))):
         raise InvalidData("metrics need finite inputs")
     err = pred - true
-    return float(np.mean(np.abs(err))), float(np.mean(err**2))
+    scaled, e = _scaled(err)  # the squares of err * 2**-e cannot overflow
+    msfe = _in_units(np.mean(scaled * scaled), 2 * e, "MSFE")
+    return float(np.mean(np.abs(err))), float(msfe)
+
+
+def _standardized(y: np.ndarray, e: int, what: str):
+    """``(c, mu, sd)`` for data ``y * 2**e``: one new buffer c holding the columns
+    standardized, and their means and sds (``np.std``'s own arithmetic) in the
+    data's units; an sd below 1e-12 there raises ``InvalidData`` naming ``what``."""
+    mu = y.mean(axis=0)
+    c = y - mu
+    sd = np.sqrt(np.sum(c * c, axis=0) / len(c))
+    if np.any(np.ldexp(sd, e) < 1e-12):
+        raise InvalidData(f"{what} is constant; cannot standardize")
+    c /= sd
+    return c, np.ldexp(mu, e), np.ldexp(sd, e)
 
 
 def _check_standardized(data: np.ndarray) -> None:
-    means = data.mean(axis=0)
-    sds = data.std(axis=0)
-    if np.max(np.abs(means)) > 1e-6:
+    scaled, e = _scaled(data)  # the moments of data * 2**-e cannot overflow
+    means = np.ldexp(scaled.mean(axis=0), e)
+    sds = np.ldexp(scaled.std(axis=0), e)
+    if np.max(np.abs(means)) > _MEAN_TOL:
         raise PreconditionViolated("panel must be standardized: column means are not 0")
     if np.max(np.abs(sds - 1.0)) > 1e-3:
         raise PreconditionViolated("panel must be standardized: column sds are not 1")
@@ -312,7 +332,8 @@ def pipeline_forecast(
         raise InvalidConfig(f"horizon must be >= 1, got {h}")
     if not 1 <= r_hat <= panel.p:
         raise InvalidConfig(f"r_hat must be in [1, p] = [1, {panel.p}], got {r_hat}")
-    if "standardized" not in panel._memo:  # one check per panel: its data are read-only
+    # one check per panel, as its data are read-only; expanding_window_eval settles its windows'
+    if "standardized" not in panel._memo:
         _check_standardized(panel.data)
         panel._memo["standardized"] = True
     if loading_override is not None:
@@ -413,29 +434,24 @@ def expanding_window_eval(
         raise InvalidConfig(f"n1 must be >= {_MIN_SERIES} so factor models can be fit")
     if n1 + h > panel.n:
         raise InvalidConfig(f"need n1 + h <= n, got n1={n1}, h={h}, n={panel.n}")
-    y = panel.data
     n, p = panel.n, panel.p
+    y, e = _scaled(panel.data)  # every mean and sd is taken on data * 2**-e
+    y_eval = panel.data
     if standardize == "global":
-        mu_g = y.mean(axis=0)
-        sd_g = y.std(axis=0)
-        if np.any(sd_g < 1e-12):
-            raise InvalidData("a panel column is constant; cannot standardize")
-        y_eval = (y - mu_g) / sd_g
-    else:
-        y_eval = y
+        y = y_eval = _standardized(y, e, "a panel column")[0]
+        e = 0
     labels = _method_labels(tuple(methods)) + [ZERO_BASELINE]
     origins = tuple(range(n1, n - h + 1))
     n_windows = len(origins)
     preds = {lab: np.full((n_windows, p), np.nan) for lab in labels}
     fails = {lab: 0 for lab in labels}
     for w, origin in enumerate(origins):
-        train = y_eval[:origin]
-        mu_t = train.mean(axis=0)
-        sd_t = train.std(axis=0)
-        if np.any(sd_t < 1e-12):
-            raise InvalidData("a training column is constant; cannot standardize")
-        strain = (train - mu_t) / sd_t
-        train_panel = TimePanel(strain)
+        strain, mu_t, sd_t = _standardized(y[:origin], e, "a training column")
+        train_panel = _built_panel(strain, demeaned=False)
+        # its sds are 1 by construction, so the column means settle the check; a
+        # window that fails them is checked in full, and fails, in every method
+        if np.max(np.abs(strain.mean(axis=0))) <= _MEAN_TOL:
+            train_panel._memo["standardized"] = True
         for cfg, lab in zip(methods, labels):
             try:
                 raw = pipeline_forecast(

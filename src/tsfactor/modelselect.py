@@ -115,7 +115,7 @@ def _scan(rows: TimePanel, p: int, e: int, cfg: EstimatorConfig) -> BicTrace:
     grams = np.stack([b.T @ b for b in halves])
     designs = np.stack([dd for dd, _ in regs])
     xs = np.stack([c @ b for (_, c), b in zip(regs, halves)])
-    head_sqs = np.array([float(np.sum(y[k:] ** 2)) for k in lags])
+    head_sqs = np.array([np.vdot(y[k:], y[k:]) for k in lags])  # no (n-k)-row temporary
 
     def rank(q: int):
         """The ratio-rule rank at q and the ascending eigenpairs of each

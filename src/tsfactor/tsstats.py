@@ -73,8 +73,8 @@ class TimePanel:
         True once column means have been removed (see :func:`demean`).
 
     A panel memoizes what its fits share: demeaned and normalized copies,
-    lag products, the lag-0 eigendecomposition and whether ``pipeline_forecast``
-    found it standardized.  Memo arrays are read-only; none refers to the panel.
+    lag products, the lag-0 eigendecomposition and whether it passed the forecast
+    path's standardization check.  Memo arrays are read-only; none refers to the panel.
     """
 
     data: np.ndarray
@@ -175,17 +175,20 @@ def demean(panel: TimePanel) -> TimePanel:
         return panel
     if "demeaned" not in panel._memo:
         centered = panel.data - panel.data.mean(axis=0)
-        panel._memo["demeaned"] = _demeaned_panel(centered, panel.names)
+        panel._memo["demeaned"] = _built_panel(centered, panel.names)
     return panel._memo["demeaned"]
 
 
-def _demeaned_panel(data: np.ndarray, names: tuple[str, ...] | None = None) -> TimePanel:
-    """A read-only panel of data the package centered itself, neither copied nor held
-    to a flagged panel's zero-mean check, which the mean's round-off can fail far from 0."""
+def _built_panel(
+    data: np.ndarray, names: tuple[str, ...] | None = None, demeaned: bool = True
+) -> TimePanel:
+    """A read-only panel of data the package built itself, checked finite but not
+    copied, nor, when centered, held to a flagged panel's zero-mean check, which
+    the mean's round-off can fail far from 0."""
     data = _as_float_matrix(data, "panel data")
     data.setflags(write=False)
     panel = object.__new__(TimePanel)
-    vars(panel).update(data=data, names=names, demeaned=True, _memo={})
+    vars(panel).update(data=data, names=names, demeaned=demeaned, _memo={})
     return panel
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tsfactor.forecast
-from tsfactor.errors import InvalidConfig, InvalidData, PreconditionViolated
+from tsfactor.errors import InvalidConfig, InvalidData, PreconditionViolated, TsfactorError
 from tsfactor.factor import EstimatorConfig, estimate
 from tsfactor.forecast import (
     ZERO_BASELINE,
@@ -182,6 +182,16 @@ def test_arma_fit_rejects_inconsistent_fields():
         ArmaFit((0, 0), (), (), 0.0, 0.0, 0.0, np.zeros(1))
 
 
+def test_a_degree_one_polynomial_is_decided_from_its_root_as_np_roots_decides():
+    edge = 1.0 / (1.0 - 1e-6)  # |1/c| = 1 - _ROOT_TOL
+    coeffs = [0.0, 0.3, 1.0, 1.2, 1e300, edge, *np.nextafter(edge, [0.0, 2.0])]
+    coeffs += list(np.random.default_rng(4).uniform(0.99, 1.01, 200))
+    for c in coeffs + [-c for c in coeffs]:
+        roots = np.roots([-c, 1.0])  # empty at c = 0, so every root is outside
+        want = bool(np.all(np.abs(roots) > 1.0 - 1e-6))
+        assert tsfactor.forecast._roots_outside_unit_circle([c]) is want, c
+
+
 # ------------------------------------------------------------ forecast_arma
 
 
@@ -304,6 +314,16 @@ def test_metrics_on_perfect_and_constant_error_hooks():
         forecast_metrics(np.zeros(3), np.zeros(4))
 
 
+def test_an_msfe_past_the_double_range_is_invalid_data():
+    # each squared error would overflow, and so does their mean
+    with pytest.raises(InvalidData, match="MSFE overflows"):
+        forecast_metrics(np.full((2, 3), 1e160), np.zeros((2, 3)))
+    # squares that would overflow while their mean does not
+    big = np.zeros((8, 4))
+    big[0, 0] = 2.0**513
+    assert forecast_metrics(big, np.zeros((8, 4)))[1] == 2.0**1021
+
+
 # ---------------------------------------------------------------- pipeline
 
 
@@ -354,20 +374,37 @@ def test_pipeline_validates_inputs():
 
 
 def test_each_window_is_checked_standardized_once(monkeypatch):
-    checked = []
-    check = tsfactor.forecast._check_standardized
+    checked, seen = [], []
+    check, forecast = tsfactor.forecast._check_standardized, tsfactor.forecast.pipeline_forecast
 
     def counted(data):
         checked.append(data.shape)
         check(data)
 
+    def recorded(panel, *args, **kwargs):
+        seen.append((panel, panel._memo.get("standardized")))  # keeps each window alive
+        return forecast(panel, *args, **kwargs)
+
     monkeypatch.setattr(tsfactor.forecast, "_check_standardized", counted)
+    monkeypatch.setattr(tsfactor.forecast, "pipeline_forecast", recorded)
     rng = np.random.default_rng(31)
     x = ar1_series(rng, 140, phi=0.8)
     y = np.outer(x, rng.uniform(-1, 1, size=6)) + rng.standard_normal((140, 6))
     methods = tuple(EstimatorConfig(method=m) for m in ("cov", "auto", "wauto"))
     rep = expanding_window_eval(TimePanel(y), methods, r_hat=1, h=1, n1=130)
-    assert checked == [(origin, 6) for origin in rep.origins]
+    # the loop checks each window once, from its column means, and every
+    # method gets that window already settled: the full check never runs
+    assert checked == []
+    assert [panel.n for panel, _ in seen] == [o for o in rep.origins for _ in methods]
+    assert len({id(panel) for panel, _ in seen}) == len(rep.origins)
+    assert all(flag is True for _, flag in seen)
+    # a window whose means fail goes through the full check in every method
+    seen.clear()
+    y[:, 2] += 1e11  # centering leaves round-off above the 1e-6 mean threshold
+    rep = expanding_window_eval(TimePanel(y), methods, r_hat=1, h=1, n1=130)
+    assert [res.n_failed for res in rep.results] == [len(rep.origins)] * 3 + [0]
+    assert checked == [(panel.n, 6) for panel, _ in seen]
+    assert len(checked) == 3 * len(rep.origins)
     # a failed check is not remembered: the panel is rejected on every call
     raw = TimePanel(y)
     for _ in range(2):
@@ -451,6 +488,84 @@ def test_expanding_window_validates_arguments():
     flat[:, 1] = rng.standard_normal(100)
     with pytest.raises(InvalidData):
         expanding_window_eval(TimePanel(flat), cfgs, r_hat=1, h=1, n1=80)
+
+
+def reference_report(y, methods, r_hat, h, n1, standardize, max_ar, max_ma):
+    """Each origin through the public route: the training window standardized
+    by numpy and handed to ``pipeline_forecast`` as a new panel."""
+    y_eval = (y - y.mean(axis=0)) / y.std(axis=0) if standardize == "global" else y
+    origins = range(n1, len(y) - h + 1)
+    rows = {lab: [] for lab in [m.method for m in methods] + [ZERO_BASELINE]}
+    for origin in origins:
+        train = y_eval[:origin]
+        mu, sd = train.mean(axis=0), train.std(axis=0)
+        panel = TimePanel((train - mu) / sd)
+        for cfg in methods:
+            try:
+                raw = pipeline_forecast(panel, cfg, r_hat, h, max_ar=max_ar, max_ma=max_ma)
+                rows[cfg.method].append(mu + sd * raw)
+            except TsfactorError:
+                rows[cfg.method].append(np.full(y.shape[1], np.nan))
+        rows[ZERO_BASELINE].append(mu)
+    truth = np.stack([y_eval[origin + h - 1] for origin in origins])
+    out = {}
+    for lab, pred in rows.items():
+        pred = np.stack(pred)
+        good = ~np.isnan(pred).any(axis=1)
+        err = pred[good] - truth[good]
+        out[lab] = (pred, np.mean(np.abs(err)), np.mean(err**2), int((~good).sum()))
+    return out
+
+
+@pytest.mark.parametrize("standardize", ["train", "global"])
+@pytest.mark.parametrize("max_ma", [0, 1], ids=["ar-grid", "ma-grid"])
+@pytest.mark.parametrize("h, r_hat", [(1, 1), (2, 2)])
+def test_windows_match_the_public_route_bit_for_bit(standardize, max_ma, h, r_hat):
+    rng = np.random.default_rng(57)
+    x = np.column_stack([ar1_series(rng, 110, phi=0.85), ar1_series(rng, 110, phi=-0.4)])
+    y = x @ rng.uniform(-1, 1, (2, 7)) + rng.standard_normal((110, 7)) + 5.0
+    y[:, 3] *= 40.0
+    methods = tuple(EstimatorConfig(method=m, q=4) for m in ("cov", "auto", "wauto"))
+    rep = expanding_window_eval(
+        TimePanel(y), methods, r_hat=r_hat, h=h, n1=100,
+        standardize=standardize, max_ar=2, max_ma=max_ma,
+    )
+    want = reference_report(y, methods, r_hat, h, 100, standardize, 2, max_ma)
+    assert [res.label for res in rep.results] == list(want)
+    for res in rep.results:
+        pred, mafe, msfe, n_failed = want[res.label]
+        assert np.array_equal(res.predictions, pred, equal_nan=True)
+        assert (res.mafe, res.msfe, res.n_failed) == (mafe, msfe, n_failed)
+
+
+def forecast_scale_panel():
+    rng = np.random.default_rng(19)
+    x = ar1_series(rng, 120, phi=0.8)
+    return np.outer(x, rng.uniform(-1, 1, size=5)) + rng.standard_normal((120, 5))
+
+
+def test_global_mode_reports_are_free_of_a_power_of_two_scale():
+    # numpy's std overflows squaring data near 3e156; the statistics of the
+    # panel scaled by a power of two are those of the panel at x 1
+    y = forecast_scale_panel()
+    methods = (EstimatorConfig(method="cov"), EstimatorConfig(method="wauto", q=3))
+    reports = [
+        expanding_window_eval(TimePanel(y * 2.0**j), methods, r_hat=1, h=1, n1=110,
+                              standardize="global", max_ar=1, max_ma=0)
+        for j in (0, 520)
+    ]
+    for a, b in zip(*(rep.results for rep in reports)):
+        assert (a.label, a.mafe, a.msfe, a.n_failed) == (b.label, b.mafe, b.msfe, b.n_failed)
+        assert np.array_equal(a.predictions, b.predictions)
+
+
+def test_train_mode_msfe_past_the_double_range_is_invalid_data():
+    # the windows standardize without overflow; the errors in the data's
+    # units near 1e160 have a mean square past the double range
+    y = forecast_scale_panel() * 1e160
+    with pytest.raises(InvalidData, match="MSFE overflows"):
+        expanding_window_eval(TimePanel(y), (EstimatorConfig(method="cov"),), r_hat=1,
+                              h=1, n1=110, standardize="train", max_ar=1, max_ma=0)
 
 
 def test_report_invariants_are_enforced():
