@@ -15,12 +15,13 @@ Levenberg-Marquardt.  Everything here is deterministic; no random
 numbers are drawn.
 
 The driver prepares each window once.  Every mean and sd is taken on the
-panel scaled once by a power of two: exact, so no square overflows.  A
-window is standardized in one new buffer by ``np.std``'s own arithmetic
-and handed to the fits uncopied.  Its sds are 1 by construction, so its
-column means settle :func:`pipeline_forecast`'s check once; a window that
-fails them is checked in full, and fails, in every method.  An MSFE past
-the double range (errors near 1e154 and up) raises ``InvalidData``.
+panel scaled once by a power of two, which is exact: no square
+overflows, and a column whose sd is at most 1e-12 of its mean is
+constant at any scale.  Each window is standardized in one new buffer,
+so its sds are 1 and its column means settle :func:`pipeline_forecast`'s
+check: a window that passes goes uncopied to the forecast kernel they
+share; a failing one fails in every method.  An MSFE past the double
+range (errors near 1e154 and up) raises ``InvalidData``.
 
 scipy is imported only where an order with an MA part is fitted or
 filtered: :func:`least_squares` and :func:`_css_residuals` import it on
@@ -55,7 +56,8 @@ __all__ = [
 
 ZERO_BASELINE = "zero"
 
-_ROOT_TOL = 1e-6
+_ROOT_MIN = 1.0 - 1e-6  # a stationary or invertible polynomial's roots are farther out
+_COMMON_TOL = 0.12  # the inverse-root distance below which an AR and an MA factor cancel
 _MIN_SERIES = 30
 _MEAN_TOL = 1e-6  # the largest column mean a standardized panel may have
 
@@ -89,17 +91,18 @@ class ArmaFit:
             raise InvalidConfig("AR polynomial must be stationary")
 
 
+def _roots(c: np.ndarray) -> np.ndarray:
+    """Roots of ``1 - c1 z - ... - ck z^k``; at degree 1 ``1/c`` (none at c = 0, as
+    ``np.roots`` gives), in Python floats, where a subnormal c gives inf unwarned."""
+    if c.size > 1:
+        return np.roots(np.r_[-c[::-1], 1.0])
+    return np.array([1.0 / float(c[0])] if c.size and c[0] else [])
+
+
 def _roots_outside_unit_circle(coeffs) -> bool:
     """True when 1 - c1 z - ... - ck z^k has all roots outside |z|=1."""
     c = np.asarray(coeffs, dtype=float)
-    if c.size == 0:
-        return True
-    if not np.all(np.isfinite(c)):
-        return False
-    if c.size == 1:  # the root of 1 - c z is 1/c, the double np.roots returns
-        return bool(abs(c[0]) < 1.0 or abs(1.0 / c[0]) > 1.0 - _ROOT_TOL)
-    roots = np.roots(np.r_[-c[::-1], 1.0])
-    return bool(np.all(np.abs(roots) > 1.0 - _ROOT_TOL))
+    return bool(np.isfinite(c).all()) and all(abs(r) > _ROOT_MIN for r in _roots(c))
 
 
 def least_squares(*args, **kwargs):
@@ -145,21 +148,6 @@ def _ar_css(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return coeffs, z - design @ coeffs
 
 
-def _has_common_root(ar: np.ndarray, ma: np.ndarray, tol: float = 0.12) -> bool:
-    """Near-cancelling AR/MA factors mean the model is overparameterized.
-
-    Roots are compared on the inverse scale, where distance measures how
-    similar the corresponding lag-polynomial factors are no matter how
-    far outside the unit circle the roots sit.
-    """
-    if ar.size == 0 or ma.size == 0:
-        return False
-    inv_ar = 1.0 / np.roots(np.r_[-ar[::-1], 1.0])
-    inv_ma = 1.0 / np.roots(np.r_[ma[::-1], 1.0])
-    dist = np.abs(inv_ar[:, None] - inv_ma[None, :])
-    return bool(np.min(dist) < tol)
-
-
 def fit_arma(series, max_ar: int = 3, max_ma: int = 3) -> ArmaFit:
     """Select and fit an ARMA model by AIC over a bounded order grid.
 
@@ -185,13 +173,12 @@ def fit_arma(series, max_ar: int = 3, max_ma: int = 3) -> ArmaFit:
     n = y.shape[0]
     mu = float(np.mean(y))
     z = y - mu
+    lead_tol = 3.0 / math.sqrt(n)
     best: Optional[tuple] = None  # (aic, order, ar, ma, sigma2, residuals) of the winner
     for p in range(max_ar + 1):
         for q in range(max_ma + 1):
             if p == 0 and q == 0:
-                eps = z.copy()
-                ar = np.empty(0)
-                ma = np.empty(0)
+                eps, ar, ma = z.copy(), np.empty(0), np.empty(0)
             else:
                 if q == 0:
                     x, eps = _ar_css(z, p)
@@ -203,17 +190,17 @@ def fit_arma(series, max_ar: int = 3, max_ma: int = 3) -> ArmaFit:
                         max_nfev=300,
                     ).x
                 ar, ma = x[:p], x[p:]
-                if not (
-                    _roots_outside_unit_circle(ar)
-                    and _roots_outside_unit_circle(ma)
+                if not np.isfinite(x).all() or (
+                    (ar.size and abs(ar[-1]) < lead_tol) or (ma.size and abs(ma[-1]) < lead_tol)
                 ):
                     continue
-                lead_tol = 3.0 / math.sqrt(n)
-                if (ar.size and abs(ar[-1]) < lead_tol) or (
-                    ma.size and abs(ma[-1]) < lead_tol
+                # 1 - ar1 z - ... and 1 + ma1 z + ... (Box et al. 2015, ch. 3); near-cancelling
+                # factors have close inverse roots however far outside the circle they sit
+                roots_ar, roots_ma = _roots(ar), _roots(-ma)
+                if not all(abs(r) > _ROOT_MIN for r in (*roots_ar, *roots_ma)) or (
+                    roots_ar.size and roots_ma.size
+                    and np.min(np.abs(1.0 / roots_ar[:, None] - 1.0 / roots_ma)) < _COMMON_TOL
                 ):
-                    continue
-                if _has_common_root(ar, ma):
                     continue
                 if q:
                     eps = _css_residuals(z, ar, ma)
@@ -289,24 +276,15 @@ def forecast_metrics(predictions, truths) -> tuple[float, float]:
 def _standardized(y: np.ndarray, e: int, what: str):
     """``(c, mu, sd)`` for data ``y * 2**e``: one new buffer c holding the columns
     standardized, and their means and sds (``np.std``'s own arithmetic) in the
-    data's units; an sd below 1e-12 there raises ``InvalidData`` naming ``what``."""
+    data's units.  An sd of at most 1e-12 |mean|, or 0, raises ``InvalidData``
+    naming ``what``: a constant column's round-off stays below 1e-15 |mean|."""
     mu = y.mean(axis=0)
     c = y - mu
     sd = np.sqrt(np.sum(c * c, axis=0) / len(c))
-    if np.any(np.ldexp(sd, e) < 1e-12):
+    if np.any(sd <= 1e-12 * np.abs(mu)):  # holds at sd = 0 whatever the mean
         raise InvalidData(f"{what} is constant; cannot standardize")
     c /= sd
     return c, np.ldexp(mu, e), np.ldexp(sd, e)
-
-
-def _check_standardized(data: np.ndarray) -> None:
-    scaled, e = _scaled(data)  # the moments of data * 2**-e cannot overflow
-    means = np.ldexp(scaled.mean(axis=0), e)
-    sds = np.ldexp(scaled.std(axis=0), e)
-    if np.max(np.abs(means)) > _MEAN_TOL:
-        raise PreconditionViolated("panel must be standardized: column means are not 0")
-    if np.max(np.abs(sds - 1.0)) > 1e-3:
-        raise PreconditionViolated("panel must be standardized: column sds are not 1")
 
 
 def pipeline_forecast(
@@ -321,9 +299,9 @@ def pipeline_forecast(
     """Forecast all panel series h steps ahead through the factor space.
 
     The panel must already be standardized (zero mean, unit variance per
-    column).  The loading matrix is estimated with the factor count
-    pinned at ``r_hat``; ``loading_override`` substitutes a known
-    orthonormal loading and skips estimation (used to reduce the
+    column); every call checks it.  The loading matrix is estimated with
+    the factor count pinned at ``r_hat``; ``loading_override`` substitutes
+    a known orthonormal loading and skips estimation (used to reduce the
     pipeline to componentwise ARMA forecasting when the override is the
     identity).  ``max_ar``/``max_ma`` bound the per-factor order search.
     The returned vector lies in the column space of the loading used.
@@ -332,19 +310,30 @@ def pipeline_forecast(
         raise InvalidConfig(f"horizon must be >= 1, got {h}")
     if not 1 <= r_hat <= panel.p:
         raise InvalidConfig(f"r_hat must be in [1, p] = [1, {panel.p}], got {r_hat}")
-    # one check per panel, as its data are read-only; expanding_window_eval settles its windows'
-    if "standardized" not in panel._memo:
-        _check_standardized(panel.data)
-        panel._memo["standardized"] = True
-    if loading_override is not None:
-        a_hat = np.asarray(loading_override, dtype=float)
+    scaled, e = _scaled(panel.data)  # the moments of data * 2**-e cannot overflow
+    if np.max(np.abs(np.ldexp(scaled.mean(axis=0), e))) > _MEAN_TOL:
+        raise PreconditionViolated("panel must be standardized: column means are not 0")
+    if np.max(np.abs(np.ldexp(scaled.std(axis=0), e) - 1.0)) > 1e-3:
+        raise PreconditionViolated("panel must be standardized: column sds are not 1")
+    a_hat = loading_override
+    if a_hat is not None:
+        a_hat = np.asarray(a_hat, dtype=float)
         if a_hat.shape != (panel.p, r_hat):
             raise InvalidConfig(
                 f"loading override must be {panel.p}x{r_hat}, got {a_hat.shape}"
             )
         if not np.allclose(a_hat.T @ a_hat, np.eye(r_hat), atol=1e-6):
             raise InvalidConfig("loading override must have orthonormal columns")
-    else:
+    return _factor_forecast(panel, cfg, r_hat, h, max_ar, max_ma, a_hat)
+
+
+def _factor_forecast(
+    panel: TimePanel, cfg: EstimatorConfig, r_hat: int, h: int, max_ar: int, max_ma: int,
+    a_hat: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The forecast of a standardized panel: estimate with r fixed at ``r_hat``
+    unless a loading ``a_hat`` is given, project, and fit and forecast each factor."""
+    if a_hat is None:
         a_hat = estimate(panel, replace(cfg, r_fixed=r_hat)).A_hat
     factors = panel.data @ a_hat
     ahead = np.empty(r_hat)
@@ -447,20 +436,20 @@ def expanding_window_eval(
     fails = {lab: 0 for lab in labels}
     for w, origin in enumerate(origins):
         strain, mu_t, sd_t = _standardized(y[:origin], e, "a training column")
+        preds[ZERO_BASELINE][w] = mu_t
+        # its sds are 1 by construction, so its column means settle pipeline_forecast's
+        # check; a window that fails them fails in every method
+        if np.max(np.abs(strain.mean(axis=0))) > _MEAN_TOL:
+            for lab in labels[:-1]:
+                fails[lab] += 1
+            continue
         train_panel = _built_panel(strain, demeaned=False)
-        # its sds are 1 by construction, so the column means settle the check; a
-        # window that fails them is checked in full, and fails, in every method
-        if np.max(np.abs(strain.mean(axis=0))) <= _MEAN_TOL:
-            train_panel._memo["standardized"] = True
         for cfg, lab in zip(methods, labels):
             try:
-                raw = pipeline_forecast(
-                    train_panel, cfg, r_hat, h, max_ar=max_ar, max_ma=max_ma
-                )
+                raw = _factor_forecast(train_panel, cfg, r_hat, h, max_ar, max_ma)
                 preds[lab][w] = mu_t + sd_t * raw
             except TsfactorError:
                 fails[lab] += 1
-        preds[ZERO_BASELINE][w] = mu_t
     truth = np.stack([y_eval[origin + h - 1] for origin in origins])
     results = []
     for lab in labels:

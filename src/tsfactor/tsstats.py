@@ -73,8 +73,8 @@ class TimePanel:
         True once column means have been removed (see :func:`demean`).
 
     A panel memoizes what its fits share: demeaned and normalized copies,
-    lag products, the lag-0 eigendecomposition and whether it passed the forecast
-    path's standardization check.  Memo arrays are read-only; none refers to the panel.
+    lag products and the lag-0 eigendecomposition.  Memo arrays are
+    read-only; none refers to the panel.
     """
 
     data: np.ndarray
@@ -94,15 +94,8 @@ class TimePanel:
                 f"got {len(self.names)} column names for {p} columns"
             )
         if self.demeaned:
-            mu = arr.mean(axis=0)
-            with np.errstate(over="ignore", under="ignore"):
-                std = float(arr.std(axis=0).max())
-            if not 1e-150 < std < np.inf:
-                # The squares inside std() left the normal range (data near
-                # 1e-200 give 0): take it on data scaled by a power of two.
-                scaled, e = _scaled(arr)
-                std = float(np.ldexp(scaled.std(axis=0).max(), e))
-            if np.abs(mu).max() > 1e-10 * std:
+            scaled = _scaled(arr)[0]  # std's squares of data * 2**-e stay in range
+            if np.abs(scaled.mean(axis=0)).max() > 1e-10 * scaled.std(axis=0).max():
                 raise InvalidData("panel flagged demeaned but column means are not 0")
         arr = arr.copy()
         arr.setflags(write=False)

@@ -121,12 +121,24 @@ def test_ar_residuals_are_the_lag_designs_and_match_the_filter():
 
 def test_default_grid_orders_are_unchanged():
     # the orders fit_arma chose on these series when every candidate's
-    # residuals came from the filter
+    # residuals came from the filter; series 14 picks (0, 2) at AIC -27.862
+    # since its MA roots, of modulus 1.805, are read from 1 + ma1 z + ma2 z^2
     chosen = [fit_arma(stationary_series(s, s % 3, (s // 3) % 3)).order for s in range(16)]
     assert chosen == [
         (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (1, 2), (0, 2), (1, 2),
-        (3, 0), (0, 0), (1, 0), (0, 3), (0, 1), (1, 1), (2, 1), (1, 1),
+        (3, 0), (0, 0), (1, 0), (0, 3), (0, 1), (1, 1), (0, 2), (1, 1),
     ]
+
+
+def test_an_invertible_ma2_is_fitted_on_its_own_polynomial():
+    # 1 + 1.2 z + 0.5 z^2 has roots of modulus 1.41; 1 - 1.2 z - 0.5 z^2, the
+    # AR polynomial's convention, has one of modulus 0.65
+    for s in range(700, 705):
+        rng = np.random.default_rng(s)
+        eta = rng.standard_normal(2002)
+        fit = fit_arma(eta[2:] + 1.2 * eta[1:-1] + 0.5 * eta[:-2], max_ar=0, max_ma=2)
+        assert fit.order == (0, 2)
+        assert np.allclose(fit.ma_coeffs, (1.2, 0.5), rtol=0.0, atol=0.1)
 
 
 def test_ar1_full_grid_usually_recovers_the_coefficient():
@@ -183,7 +195,7 @@ def test_arma_fit_rejects_inconsistent_fields():
 
 
 def test_a_degree_one_polynomial_is_decided_from_its_root_as_np_roots_decides():
-    edge = 1.0 / (1.0 - 1e-6)  # |1/c| = 1 - _ROOT_TOL
+    edge = 1.0 / (1.0 - 1e-6)  # |1/c| = _ROOT_MIN
     coeffs = [0.0, 0.3, 1.0, 1.2, 1e300, edge, *np.nextafter(edge, [0.0, 2.0])]
     coeffs += list(np.random.default_rng(4).uniform(0.99, 1.01, 200))
     for c in coeffs + [-c for c in coeffs]:
@@ -374,39 +386,38 @@ def test_pipeline_validates_inputs():
 
 
 def test_each_window_is_checked_standardized_once(monkeypatch):
-    checked, seen = [], []
-    check, forecast = tsfactor.forecast._check_standardized, tsfactor.forecast.pipeline_forecast
-
-    def counted(data):
-        checked.append(data.shape)
-        check(data)
+    seen = []
+    kernel = tsfactor.forecast._factor_forecast
 
     def recorded(panel, *args, **kwargs):
-        seen.append((panel, panel._memo.get("standardized")))  # keeps each window alive
-        return forecast(panel, *args, **kwargs)
+        seen.append(panel)  # keeps each window alive
+        return kernel(panel, *args, **kwargs)
 
-    monkeypatch.setattr(tsfactor.forecast, "_check_standardized", counted)
-    monkeypatch.setattr(tsfactor.forecast, "pipeline_forecast", recorded)
+    def rechecked(*args, **kwargs):
+        raise AssertionError("a window must not be checked again by pipeline_forecast")
+
+    monkeypatch.setattr(tsfactor.forecast, "_factor_forecast", recorded)
+    monkeypatch.setattr(tsfactor.forecast, "pipeline_forecast", rechecked)
     rng = np.random.default_rng(31)
     x = ar1_series(rng, 140, phi=0.8)
     y = np.outer(x, rng.uniform(-1, 1, size=6)) + rng.standard_normal((140, 6))
     methods = tuple(EstimatorConfig(method=m) for m in ("cov", "auto", "wauto"))
     rep = expanding_window_eval(TimePanel(y), methods, r_hat=1, h=1, n1=130)
-    # the loop checks each window once, from its column means, and every
-    # method gets that window already settled: the full check never runs
-    assert checked == []
-    assert [panel.n for panel, _ in seen] == [o for o in rep.origins for _ in methods]
-    assert len({id(panel) for panel, _ in seen}) == len(rep.origins)
-    assert all(flag is True for _, flag in seen)
-    # a window whose means fail goes through the full check in every method
+    # the loop checks each window once, from its column means, and hands that
+    # one panel to the forecast kernel in every method
+    assert [panel.n for panel in seen] == [o for o in rep.origins for _ in methods]
+    assert len({id(panel) for panel in seen}) == len(rep.origins)
+    assert [res.n_failed for res in rep.results] == [0] * 4
+    # a window whose means fail counts as failed in every method, unforecast
     seen.clear()
     y[:, 2] += 1e11  # centering leaves round-off above the 1e-6 mean threshold
     rep = expanding_window_eval(TimePanel(y), methods, r_hat=1, h=1, n1=130)
     assert [res.n_failed for res in rep.results] == [len(rep.origins)] * 3 + [0]
-    assert checked == [(panel.n, 6) for panel, _ in seen]
-    assert len(checked) == 3 * len(rep.origins)
-    # a failed check is not remembered: the panel is rejected on every call
+    assert seen == []
+    # pipeline_forecast checks its panel on every call; no memo entry settles it
+    monkeypatch.undo()
     raw = TimePanel(y)
+    raw._memo["standardized"] = True
     for _ in range(2):
         with pytest.raises(PreconditionViolated):
             pipeline_forecast(raw, methods[0], r_hat=1, h=1)
@@ -545,18 +556,50 @@ def forecast_scale_panel():
 
 
 def test_global_mode_reports_are_free_of_a_power_of_two_scale():
-    # numpy's std overflows squaring data near 3e156; the statistics of the
-    # panel scaled by a power of two are those of the panel at x 1
+    # numpy's std overflows squaring data near 3e156, and the sds of data x 2^-44
+    # fall below 1e-12; the statistics of the panel scaled by a power of two
+    # are those of the panel at x 1
     y = forecast_scale_panel()
     methods = (EstimatorConfig(method="cov"), EstimatorConfig(method="wauto", q=3))
-    reports = [
+    one, *scaled = [
         expanding_window_eval(TimePanel(y * 2.0**j), methods, r_hat=1, h=1, n1=110,
                               standardize="global", max_ar=1, max_ma=0)
-        for j in (0, 520)
+        for j in (0, 520, -44)
     ]
-    for a, b in zip(*(rep.results for rep in reports)):
-        assert (a.label, a.mafe, a.msfe, a.n_failed) == (b.label, b.mafe, b.msfe, b.n_failed)
-        assert np.array_equal(a.predictions, b.predictions)
+    for rep in scaled:
+        for a, b in zip(one.results, rep.results):
+            assert (a.label, a.mafe, a.msfe, a.n_failed) == (b.label, b.mafe, b.msfe, b.n_failed)
+            assert np.array_equal(a.predictions, b.predictions)
+
+
+@pytest.mark.parametrize("standardize", ["train", "global"])
+def test_small_data_are_not_constant(standardize):
+    # a column is constant when its sd is at most 1e-12 of its mean, so data
+    # x 1e-13, whose sds are near 1e-13, forecast as the data at x 1 do
+    y = forecast_scale_panel()
+    methods = (EstimatorConfig(method="cov"), EstimatorConfig(method="wauto", q=3))
+    one, small = (
+        expanding_window_eval(TimePanel(y * s), methods, r_hat=1, h=1, n1=110,
+                              standardize=standardize, max_ar=1, max_ma=0)
+        for s in (1.0, 1e-13)
+    )
+    unit = 1e-13 if standardize == "train" else 1.0
+    for a, b in zip(one.results, small.results):
+        assert b.n_failed == a.n_failed == 0
+        assert np.allclose(b.predictions, unit * a.predictions, rtol=1e-9, atol=0.0)
+        assert b.msfe == pytest.approx(unit**2 * a.msfe, rel=1e-9)
+
+
+@pytest.mark.parametrize("standardize", ["train", "global"])
+@pytest.mark.parametrize("level", [0.0, 3e-200, 12345.678, 7e150])
+def test_a_constant_column_is_constant_at_any_scale(standardize, level):
+    # the round-off of its mean leaves a constant column an sd below 1e-15 of
+    # its mean: up to 5e-12 at 12345.678 and 3e135 at 7e150
+    y = forecast_scale_panel()
+    y[:, 1] = level
+    with pytest.raises(InvalidData, match="constant"):
+        expanding_window_eval(TimePanel(y), (EstimatorConfig(method="cov"),), r_hat=1,
+                              h=1, n1=110, standardize=standardize, max_ar=1, max_ma=0)
 
 
 def test_train_mode_msfe_past_the_double_range_is_invalid_data():
