@@ -132,8 +132,8 @@ class EstimatorConfig:
             raise InvalidConfig(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.m < 1:
             raise InvalidConfig(f"m must be >= 1, got {self.m}")
-        if self.vartheta_scale < 0:
-            raise InvalidConfig("vartheta_scale must be >= 0")
+        if not 0 <= self.vartheta_scale < np.inf:  # also false at nan
+            raise InvalidConfig(f"vartheta_scale must be finite and >= 0, got {self.vartheta_scale}")
         if isinstance(self.q, str) and self.q != "auto":
             raise InvalidConfig(f"q must be an int, 'auto', or None, got {self.q!r}")
         if isinstance(self.q, int) and self.q < 1:
@@ -144,8 +144,8 @@ class EstimatorConfig:
             raise InvalidConfig("r_fixed must be >= 1")
         if self.q0 is not None and self.q0 < 3:
             raise InvalidConfig(f"q0 must be at least 3, got {self.q0}")
-        if self.bic_c <= 0:
-            raise InvalidConfig(f"penalty constant bic_c must be positive, got {self.bic_c}")
+        if not 0 < self.bic_c < np.inf:
+            raise InvalidConfig(f"penalty constant bic_c must be finite and > 0, got {self.bic_c}")
         if (
             isinstance(self.q, int)
             and self.r_search_max is not None
@@ -309,8 +309,8 @@ def select_r(
     r_max : int
         Largest candidate factor count.
     """
-    if vartheta < 0:
-        raise InvalidConfig("vartheta must be >= 0")
+    if not 0 <= vartheta < np.inf:
+        raise InvalidConfig(f"vartheta must be finite and >= 0, got {vartheta}")
     heads = [np.asarray(spectrum, dtype=float)[: r_max + 1] for spectrum in spectra]
     for k, head in enumerate(heads, start=1):
         if head.shape[0] < r_max + 1:

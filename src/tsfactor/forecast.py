@@ -292,7 +292,6 @@ def pipeline_forecast(
     cfg: EstimatorConfig,
     r_hat: int,
     h: int,
-    loading_override: Optional[np.ndarray] = None,
     max_ar: int = 3,
     max_ma: int = 3,
 ) -> np.ndarray:
@@ -300,11 +299,9 @@ def pipeline_forecast(
 
     The panel must already be standardized (zero mean, unit variance per
     column); every call checks it.  The loading matrix is estimated with
-    the factor count pinned at ``r_hat``; ``loading_override`` substitutes
-    a known orthonormal loading and skips estimation (used to reduce the
-    pipeline to componentwise ARMA forecasting when the override is the
-    identity).  ``max_ar``/``max_ma`` bound the per-factor order search.
-    The returned vector lies in the column space of the loading used.
+    the factor count pinned at ``r_hat``.  ``max_ar``/``max_ma`` bound the
+    per-factor order search.  The returned vector lies in the column space
+    of the estimated loading.
     """
     if h < 1:
         raise InvalidConfig(f"horizon must be >= 1, got {h}")
@@ -315,26 +312,15 @@ def pipeline_forecast(
         raise PreconditionViolated("panel must be standardized: column means are not 0")
     if np.max(np.abs(np.ldexp(scaled.std(axis=0), e) - 1.0)) > 1e-3:
         raise PreconditionViolated("panel must be standardized: column sds are not 1")
-    a_hat = loading_override
-    if a_hat is not None:
-        a_hat = np.asarray(a_hat, dtype=float)
-        if a_hat.shape != (panel.p, r_hat):
-            raise InvalidConfig(
-                f"loading override must be {panel.p}x{r_hat}, got {a_hat.shape}"
-            )
-        if not np.allclose(a_hat.T @ a_hat, np.eye(r_hat), atol=1e-6):
-            raise InvalidConfig("loading override must have orthonormal columns")
-    return _factor_forecast(panel, cfg, r_hat, h, max_ar, max_ma, a_hat)
+    return _factor_forecast(panel, cfg, r_hat, h, max_ar, max_ma)
 
 
 def _factor_forecast(
-    panel: TimePanel, cfg: EstimatorConfig, r_hat: int, h: int, max_ar: int, max_ma: int,
-    a_hat: Optional[np.ndarray] = None,
+    panel: TimePanel, cfg: EstimatorConfig, r_hat: int, h: int, max_ar: int, max_ma: int
 ) -> np.ndarray:
-    """The forecast of a standardized panel: estimate with r fixed at ``r_hat``
-    unless a loading ``a_hat`` is given, project, and fit and forecast each factor."""
-    if a_hat is None:
-        a_hat = estimate(panel, replace(cfg, r_fixed=r_hat)).A_hat
+    """The forecast of a standardized panel: estimate with r fixed at ``r_hat``,
+    project, and fit and forecast each factor."""
+    a_hat = estimate(panel, replace(cfg, r_fixed=r_hat)).A_hat
     factors = panel.data @ a_hat
     ahead = np.empty(r_hat)
     for j in range(r_hat):
@@ -412,7 +398,7 @@ def expanding_window_eval(
     and the prediction is mapped back, so the forecasts themselves never
     peek past the origin.  The zero-forecast baseline predicts the
     training mean, i.e. zero on the window-standardized scale.
-    ``methods`` may be empty to evaluate the baseline alone;
+    ``methods``, any iterable, may be empty to evaluate the baseline alone;
     ``max_ar``/``max_ma`` bound the per-factor order search.
     """
     if standardize not in ("train", "global"):
@@ -429,7 +415,8 @@ def expanding_window_eval(
     if standardize == "global":
         y = y_eval = _standardized(y, e, "a panel column")[0]
         e = 0
-    labels = _method_labels(tuple(methods)) + [ZERO_BASELINE]
+    methods = tuple(methods)  # read twice below, so a generator is taken once
+    labels = _method_labels(methods) + [ZERO_BASELINE]
     origins = tuple(range(n1, n - h + 1))
     n_windows = len(origins)
     preds = {lab: np.full((n_windows, p), np.nan) for lab in labels}

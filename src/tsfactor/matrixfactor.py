@@ -36,9 +36,7 @@ from .tsstats import TimePanel, _in_units, _mean_product, _scaled, demean, sym_e
 __all__ = [
     "MatrixPanel",
     "MatrixFactorFit",
-    "demean_matrix",
     "m_hat_rows",
-    "m_hat_cols",
     "estimate_matrix",
 ]
 
@@ -50,7 +48,6 @@ class MatrixPanel:
     (n, p1, p2) view."""
 
     data: np.ndarray
-    demeaned: bool = False
     _flat: TimePanel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -58,12 +55,9 @@ class MatrixPanel:
         if data.ndim != 3:
             raise InvalidData(f"matrix panel must be 3-d (n, p1, p2), got shape {data.shape}")
         n, p1, p2 = data.shape
-        self._set_flat(TimePanel(data.reshape(n, p1 * p2), demeaned=self.demeaned), data.shape)
-
-    def _set_flat(self, flat: TimePanel, shape: tuple[int, int, int]) -> None:
+        flat = TimePanel(data.reshape(n, p1 * p2))
         object.__setattr__(self, "_flat", flat)
-        object.__setattr__(self, "data", flat.data.reshape(shape))
-        object.__setattr__(self, "demeaned", flat.demeaned)
+        object.__setattr__(self, "data", flat.data.reshape(data.shape))
 
     @property
     def n(self) -> int:
@@ -76,15 +70,6 @@ class MatrixPanel:
     @property
     def p2(self) -> int:
         return self.data.shape[2]
-
-
-def demean_matrix(panel: MatrixPanel) -> MatrixPanel:
-    """Subtract the full-sample mean matrix from every observation."""
-    if panel.demeaned:
-        return panel
-    centered = object.__new__(MatrixPanel)  # wraps the memoized demean, unchecked and uncopied
-    centered._set_flat(demean(panel._flat), panel.data.shape)
-    return centered
 
 
 def _slice_q(q: Optional[int], p: int, n: int) -> int:
@@ -123,17 +108,11 @@ def m_hat_rows(panel: MatrixPanel, m: int = 2, q1: Optional[int] = None) -> np.n
     all column-slice pairs (i, j), with each ``W_j`` the rank-q1 weight
     of slice j.  The panel is demeaned internally; the result is
     symmetrized, so its eigenvalues are real and nonnegative up to
-    round-off.
+    round-off.  The column aggregate is the row aggregate of the
+    transposed panel, ``m_hat_rows(MatrixPanel(data.transpose(0, 2, 1)))``.
     """
     out, e = _side_aggregate(panel, m, _slice_q(q1, panel.p1, panel.n), "column")
     return _in_units(out, 2 * e, "row aggregate")
-
-
-def m_hat_cols(panel: MatrixPanel, m: int = 2, q2: Optional[int] = None) -> np.ndarray:
-    """Column-space analogue of :func:`m_hat_rows` (a p2 x p2 matrix),
-    computed on the demeaned panel with rows and columns swapped."""
-    out, e = _side_aggregate(panel, m, _slice_q(q2, panel.p2, panel.n), "row")
-    return _in_units(out, 2 * e, "column aggregate")
 
 
 @dataclass(frozen=True)
@@ -168,14 +147,14 @@ def estimate_matrix(
     """Estimate row and column loading spaces of a matrix factor model.
 
     ``R_hat`` holds the top-d1 eigenvectors of :func:`m_hat_rows` and
-    ``C_hat`` the top-d2 eigenvectors of :func:`m_hat_cols`.  Unspecified
-    ranks are chosen by the offset eigenvalue-ratio rule with offsets
+    ``C_hat`` the top-d2 of the transposed panel's.  Unspecified ranks are
+    chosen by the offset eigenvalue-ratio rule with offsets
     ``vartheta_scale * p1 / n`` and ``vartheta_scale * p2 / n``; the
     search runs below the weight rank (d < q), and ties keep the
     smallest rank.
     """
-    if vartheta_scale < 0:
-        raise InvalidConfig("vartheta_scale must be >= 0")
+    if not 0 <= vartheta_scale < np.inf:
+        raise InvalidConfig(f"vartheta_scale must be finite and >= 0, got {vartheta_scale}")
     n, p1, p2 = panel.n, panel.p1, panel.p2
     q1, q2 = _slice_q(q1, p1, n), _slice_q(q2, p2, n)
     for d, q, p, side in ((d1, q1, p1, "d1"), (d2, q2, p2, "d2")):

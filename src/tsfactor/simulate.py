@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 RNG_NAME = "pcg64"
+_BURN_IN = 200  # leading draws of every generated series, discarded
 
 _DEFAULT_METHODS = (
     EstimatorConfig(method="cov"),
@@ -71,7 +72,6 @@ class SimulationSpec:
     delta1: Optional[float] = None
     n_runs: int = 100
     base_seed: int = 0
-    burn_in: int = 200
     methods: tuple[EstimatorConfig, ...] = _DEFAULT_METHODS
     noise_scale: float = 1.0
 
@@ -96,10 +96,8 @@ class SimulationSpec:
             raise InvalidConfig("need n >= 2 and p >= 1")
         if self.n_runs < 1:
             raise InvalidConfig("n_runs must be >= 1")
-        if self.burn_in < 0:
-            raise InvalidConfig("burn_in must be >= 0")
-        if self.noise_scale < 0:
-            raise InvalidConfig("noise_scale must be >= 0")
+        if not 0 <= self.noise_scale < np.inf:
+            raise InvalidConfig(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if not self.methods:
             raise InvalidConfig("methods must not be empty")
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -226,7 +224,7 @@ def generate_uniform(spec: SimulationSpec, seed) -> tuple[TimePanel, np.ndarray]
     if spec.model != "uniform":
         raise InvalidConfig("generate_uniform needs a spec with model='uniform'")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(np.random.PCG64(seed))
-    total = spec.burn_in + spec.n
+    total = _BURN_IN + spec.n
     a_tilde = _uniform_loading(rng, spec.p, spec.r0, spec.delta0)
     phi = _signed_uniform(rng, 0.7, 0.95, spec.r0)
     x = _ar1(rng, total, phi, scale=1.0)
@@ -234,7 +232,7 @@ def generate_uniform(spec: SimulationSpec, seed) -> tuple[TimePanel, np.ndarray]
     eps = _ma1(rng, total, psi, scale=1.0)
     e = eps @ _smoothing_kernel(spec.p)
     y = x @ a_tilde.T + spec.noise_scale * e
-    panel = TimePanel(y[spec.burn_in :])
+    panel = TimePanel(y[_BURN_IN:])
     return panel, _orthonormal_basis(a_tilde)
 
 
@@ -255,7 +253,7 @@ def generate_two_strength(
     if spec.model != "twostrength":
         raise InvalidConfig("generate_two_strength needs a spec with model='twostrength'")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(np.random.PCG64(seed))
-    total = spec.burn_in + spec.n
+    total = _BURN_IN + spec.n
     a_tilde = _uniform_loading(rng, spec.p, spec.r0, spec.delta0)
     b_tilde = _uniform_loading(rng, spec.p, spec.r1, spec.delta1)
     phi = _signed_uniform(rng, 0.85, 0.95, spec.r0)
@@ -264,7 +262,7 @@ def generate_two_strength(
     z = _ma1(rng, total, theta, scale=0.2)
     e = rng.standard_normal((total, spec.p))
     y = x @ a_tilde.T + z @ b_tilde.T + spec.noise_scale * e
-    panel = TimePanel(y[spec.burn_in :])
+    panel = TimePanel(y[_BURN_IN:])
     return panel, _orthonormal_basis(a_tilde), _orthonormal_basis(b_tilde)
 
 

@@ -457,6 +457,17 @@ def test_estimate_config_validation():
         estimate(panel, EstimatorConfig(method="cov", r_search_max=3, r_fixed=4))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_offsets_and_penalties_are_named(value):
+    # a nan offset used to pick r = 1, and an infinite one to warn in the ratio rule
+    with pytest.raises(InvalidConfig, match="vartheta_scale must be finite"):
+        EstimatorConfig(vartheta_scale=value)
+    with pytest.raises(InvalidConfig, match="bic_c must be finite"):
+        EstimatorConfig(bic_c=value)
+    with pytest.raises(InvalidConfig, match="vartheta must be finite"):
+        select_r([np.array([4.0, 2.0, 1.0])], 50, value, 2)
+
+
 def test_factor_fit_rejects_nonorthonormal_loadings():
     with pytest.raises(InvalidData):
         FactorFit(

@@ -521,6 +521,25 @@ class TestCliErrors:
         write_panel_csv(src, p=8, n=40)
         assert run(["estimate", str(src), "--out", str(tmp_path / "o"), "--q", "200"]) == 5
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_a_non_finite_option_value_exits_5_naming_it(self, tmp_path, capsys, value):
+        # these used to exit 0 with another rank, or exit 5 on a misleading
+        # BIC message, or exit 4 on the simulated data
+        src = tmp_path / "panel.csv"
+        write_panel_csv(src, p=8, n=40)
+        blocks = tmp_path / "blocks.csv"
+        write_matrix_csv(blocks, n=40, p1=4, p2=3)
+        for args, key in (
+            (["estimate", str(src)], "vartheta_scale"),
+            (["estimate", str(src)], "bic_c"),
+            (["select-q", str(src)], "bic_c"),
+            (["matrix-estimate", str(blocks)], "vartheta_scale"),
+            (["simulate", "--p", "8", "--n", "40", "--runs", "1"], "noise_scale"),
+        ):
+            flag = "--" + key.replace("_", "-")
+            assert run([*args, flag, value, "--out", str(tmp_path / "o")]) == 5
+            assert f"{key} must be finite" in capsys.readouterr().err
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as info:
             run(["estimate"])  # missing input path

@@ -15,9 +15,7 @@ from tsfactor.factor import m_hat, weight_matrix
 from tsfactor.matrixfactor import (
     MatrixFactorFit,
     MatrixPanel,
-    demean_matrix,
     estimate_matrix,
-    m_hat_cols,
     m_hat_rows,
 )
 from tsfactor.tsstats import TimePanel, demean, sample_autocov, subspace_distance
@@ -61,7 +59,7 @@ def double_loop_cross_cov(data, k, i, j):
 def dense_weight_row_aggregate(data, m, q, cross_cov):
     """sum_k sum_ij Omega_ij(k) W_j Omega_ij(k)' with each W_j = Q (Q' S_j Q)^-1 Q'
     formed densely from slice j's lag-0 covariance S_j."""
-    centered = demean_matrix(MatrixPanel(data)).data
+    centered = data - data.mean(axis=0)
     p1, p2 = centered.shape[1:]
     out = np.zeros((p1, p1))
     for j in range(p2):
@@ -78,7 +76,7 @@ def dense_weight_row_aggregate(data, m, q, cross_cov):
 
 def unweighted_row_aggregate(data, m):
     """Plain sum_k sum_ij Omega_ij(k) Omega_ij(k)' built slice pair by slice pair."""
-    centered = demean_matrix(MatrixPanel(data)).data
+    centered = data - data.mean(axis=0)
     p1, p2 = centered.shape[1:]
     out = np.zeros((p1, p1))
     for k in range(1, m + 1):
@@ -101,9 +99,6 @@ def test_panel_validation():
     bad[1, 0, 1] = np.inf
     with pytest.raises(InvalidData):
         MatrixPanel(bad)
-    shifted = np.ones((4, 2, 2))
-    with pytest.raises(InvalidData):
-        MatrixPanel(shifted, demeaned=True)
 
 
 def test_panel_keeps_a_read_only_copy():
@@ -112,25 +107,6 @@ def test_panel_keeps_a_read_only_copy():
     assert not panel.data.flags.writeable
     raw[0, 0, 0] = 99.0
     assert panel.data[0, 0, 0] != 99.0
-
-
-@pytest.mark.parametrize("scale", [1e9, 1e12, 1e-200])
-def test_demeaned_check_is_relative_to_the_data_scale(scale):
-    # an absolute tolerance rejected demean_matrix's own output at 1e9
-    rng = np.random.default_rng(8)
-    centered = demean_matrix(MatrixPanel(scale * (rng.standard_normal((50, 4, 3)) + 2.0)))
-    assert MatrixPanel(centered.data, demeaned=True).demeaned
-    with pytest.raises(InvalidData):
-        MatrixPanel(centered.data + 1e-6 * scale, demeaned=True)
-
-
-def test_demean_matrix_centers_and_short_circuits():
-    rng = np.random.default_rng(1)
-    panel = MatrixPanel(rng.standard_normal((12, 3, 2)) + 4.0)
-    centered = demean_matrix(panel)
-    assert centered.demeaned
-    assert np.abs(centered.data.mean(axis=0)).max() <= 1e-12
-    assert demean_matrix(centered) is centered
 
 
 # --------------------------------------------------------- cross-covariances
@@ -142,18 +118,20 @@ def test_cross_autocov_matches_double_loop_oracle():
     panel = MatrixPanel(data)
     want = dense_weight_row_aggregate(data, 2, 3, double_loop_cross_cov)
     assert np.abs(m_hat_rows(panel, m=2, q1=3) - want).max() <= 1e-10
-    want = dense_weight_row_aggregate(data.transpose(0, 2, 1), 2, 2, double_loop_cross_cov)
-    assert np.abs(m_hat_cols(panel, m=2, q2=2) - want).max() <= 1e-10
+    flipped = data.transpose(0, 2, 1)
+    want = dense_weight_row_aggregate(flipped, 2, 2, double_loop_cross_cov)
+    assert np.abs(m_hat_rows(MatrixPanel(flipped), m=2, q1=2) - want).max() <= 1e-10
 
 
 def test_row_slice_covariance_is_transposed_column_slice():
     # the column side reads the panel's row slices as the transposed panel's
-    # column slices
-    rng = np.random.default_rng(3)
-    panel = demean_matrix(MatrixPanel(rng.standard_normal((20, 4, 3))))
-    flipped = demean_matrix(MatrixPanel(panel.data.transpose(0, 2, 1)))
-    scale = np.abs(m_hat_cols(panel, m=2)).max()
-    assert np.abs(m_hat_cols(panel, m=2) - m_hat_rows(flipped, m=2)).max() <= 1e-12 * scale
+    # column slices, so its fit is the transposed panel's row fit
+    data = np.random.default_rng(3).standard_normal((20, 4, 3)) + 5.0
+    fit = estimate_matrix(MatrixPanel(data), m=2)
+    flipped = estimate_matrix(MatrixPanel(data.transpose(0, 2, 1)), m=2)
+    assert fit.d2 == flipped.d1
+    assert np.abs(fit.C_hat - flipped.R_hat).max() <= 1e-12
+    np.testing.assert_allclose(fit.col_spectrum, flipped.row_spectrum, rtol=1e-12)
 
 
 # ------------------------------------------------------------- aggregates
@@ -167,7 +145,7 @@ def test_single_column_panel_reduces_to_vector_pipeline():
     got = m_hat_rows(MatrixPanel(y[:, :, None]), m=2, q1=4)
     assert np.abs(want - got).max() <= 1e-10
     # the lag blocks agree as well
-    centered = demean_matrix(MatrixPanel(y[:, :, None])).data
+    centered = (y - y.mean(axis=0))[:, :, None]
     assert np.abs(slice_cross_cov(centered, 2, 0, 0) - covs.lags[1]).max() <= 1e-12
 
 
@@ -177,8 +155,9 @@ def test_m_hat_rows_matches_dense_weight_oracle():
     panel = MatrixPanel(data)
     want = dense_weight_row_aggregate(data, 2, 3, slice_cross_cov)
     assert np.abs(m_hat_rows(panel, m=2, q1=3) - want).max() <= 1e-10
-    want = dense_weight_row_aggregate(data.transpose(0, 2, 1), 2, 2, slice_cross_cov)
-    assert np.abs(m_hat_cols(panel, m=2, q2=2) - want).max() <= 1e-10
+    flipped = data.transpose(0, 2, 1)
+    want = dense_weight_row_aggregate(flipped, 2, 2, slice_cross_cov)
+    assert np.abs(m_hat_rows(MatrixPanel(flipped), m=2, q1=2) - want).max() <= 1e-10
 
 
 def test_m_hat_rows_symmetric_psd_and_validated():
@@ -273,8 +252,9 @@ def test_estimate_matrix_validates_arguments():
         estimate_matrix(panel, d1=5)
     with pytest.raises(InvalidConfig):
         estimate_matrix(panel, q1=2, d1=3)
-    with pytest.raises(InvalidConfig):
-        estimate_matrix(panel, vartheta_scale=-0.1)
+    for bad in (-0.1, float("nan"), float("inf")):  # nan used to give d1 = 1
+        with pytest.raises(InvalidConfig, match="vartheta_scale"):
+            estimate_matrix(panel, vartheta_scale=bad)
     with pytest.raises(InvalidConfig):
         estimate_matrix(panel, q2=1)  # rank search needs q >= 2
 
@@ -403,5 +383,3 @@ def test_overflowing_slice_covariance_is_named_without_a_numpy_warning(shape):
         warnings.simplefilter("error")
         with pytest.raises(InvalidData, match=message):
             estimate_matrix(panel)
-        with pytest.raises(InvalidData, match=message.replace("column", "row")):
-            m_hat_cols(panel)
