@@ -66,6 +66,7 @@ from .tsstats import (
     _flips,
     _in_units,
     _lag0_eigen,
+    _row_products,
     _scaled,
     demean,
     sample_autocov,
@@ -379,8 +380,9 @@ def _choose_rank(ranked: np.ndarray, vartheta: float, bound: int, r_fixed: Optio
 def _row_space(panel: TimePanel) -> tuple[Optional[tuple], TimePanel, int]:
     """``(wy, rows, e)``, kept on a demeaned panel y: rows holds ``y * 2**-e``,
     e the binary exponent of ``max|y|``, or when p > n the scores Z of one thin QR
-    ``y' 2**-e = V Z'``, and wy is ``(Y', T)`` with ``V = (I - Y T Y')[:, :n]``."""
-    if "normalized" not in panel._memo:
+    ``y' 2**-e = V Z'``, and wy is ``(Y', T)`` with ``V = (I - Y T Y')[:, :n]``.  A panel
+    whose memo holds its exponent, as rows and forecast windows do, is its own rows."""
+    if "normalized" not in panel._memo and "exponent" not in panel._memo:
         ys, e = _scaled(panel.data)
         memo = {"exponent": np.int64(e)}  # a numpy scalar: read-only, as memo entries are
         if panel.p > panel.n:
@@ -395,7 +397,7 @@ def _row_space(panel: TimePanel) -> tuple[Optional[tuple], TimePanel, int]:
                 arr.setflags(write=False)
         rows = panel._memo["normalized"] = _built_panel(ys)
         rows._memo.update(memo)
-    rows = panel._memo["normalized"]
+    rows = panel._memo.get("normalized", panel)
     return rows._memo.get("wy"), rows, int(rows._memo["exponent"])
 
 
@@ -480,16 +482,17 @@ def estimate(panel: TimePanel, cfg: EstimatorConfig) -> FactorFit:
     a, a_rows = _lifted(wy, a)
     h_hat = None
     if w is not None:  # H depends neither on y's scale nor on its row-space coordinates
-        y, q_rows = rows.data, _lifted(wy, w.Q)[1]
-        h_hat = tuple(
-            _lag_fit(*_gram_cross(y[: n - k] @ q_rows, y[k:] @ a_rows), 0.0)[0]
+        q_rows = _lifted(wy, w.Q)[1]
+        regs = (
+            _gram_cross(_row_products(rows, 0, n - k, q_rows), _row_products(rows, k, n, a_rows))
             for k in range(1, cfg.m + 1)
         )
+        h_hat = tuple(_lag_fit(*reg, 0.0)[0] for reg in regs)
     return FactorFit(
         method=cfg.method,
         r_hat=r,
         A_hat=a,
-        factors=panel.data @ a,
+        factors=_row_products(panel, 0, n, a),
         eigenvalues_per_lag=reported,
         ratios=ratios,
         q_used=None if w is None else w.q,

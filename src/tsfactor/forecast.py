@@ -14,14 +14,19 @@ the Hannan-Rissanen two-stage regression and is refined by
 Levenberg-Marquardt.  Everything here is deterministic; no random
 numbers are drawn.
 
-The driver prepares each window once.  Every mean and sd is taken on the
-panel scaled once by a power of two, which is exact: no square
-overflows, and a column whose sd is at most 1e-12 of its mean is
-constant at any scale.  Each window is standardized in one new buffer,
-so its sds are 1 and its column means settle :func:`pipeline_forecast`'s
-check: a window that passes goes uncopied to the forecast kernel they
-share; a failing one fails in every method.  An MSFE past the double
-range (errors near 1e154 and up) raises ``InvalidData``.
+The expanding-window evaluation updates each window from the last: it
+keeps running sums of the panel, scaled by a power of two and less the
+first window's mean, of its squares and, once a window has at least as
+many rows as series, of its lag products, so each window's means, sds
+and standardized lag products cost O(p^2).  The fits read the window
+through a view of its rows (see :class:`~tsfactor.tsstats._Window`); a
+wider window's row space reads them standardized in one new buffer.  A
+window whose centring round-off, eps |mean| / sd, exceeds the tolerance
+of :func:`pipeline_forecast`'s mean check fails in every method; in
+global mode the mean counted is the window's distance from the panel's.
+A column whose sd is at most 1e-12 of its mean is constant at any scale.
+An MSFE past the double range (errors near 1e154 and up) raises
+``InvalidData``.
 
 scipy is imported only where an order with an MA part is fitted or
 filtered: :func:`least_squares` and :func:`_css_residuals` import it on
@@ -40,7 +45,7 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidData, PreconditionViolated, TsfactorError
 from .factor import EstimatorConfig, _method_labels, estimate
-from .tsstats import TimePanel, _built_panel, _in_units, _scaled
+from .tsstats import TimePanel, _in_units, _scaled, _Window
 
 __all__ = [
     "ArmaFit",
@@ -121,15 +126,18 @@ def _css_residuals(z: np.ndarray, ar: np.ndarray, ma: np.ndarray) -> np.ndarray:
     return np.nan_to_num(eps, nan=1e6, posinf=1e6, neginf=-1e6)
 
 
-def _hannan_rissanen_start(z: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Two-stage least-squares initial values for (ar, ma)."""
+def _hannan_rissanen_start(z: np.ndarray, p: int, q: int, ehats: dict) -> np.ndarray:
+    """Two-stage least-squares initial values for (ar, ma); ``ehats`` keeps the long
+    autoregression's residuals of z per long order, each fitted once."""
     n = z.shape[0]
     long_order = min(max(8, p + q, int(round(10 * math.log10(n)))), n // 4)
-    lag_cols = [z[long_order - k : n - k] for k in range(1, long_order + 1)]
-    design = np.column_stack(lag_cols)
-    coef, *_ = np.linalg.lstsq(design, z[long_order:], rcond=None)
-    ehat = np.zeros(n)
-    ehat[long_order:] = z[long_order:] - design @ coef
+    if long_order not in ehats:
+        lag_cols = [z[long_order - k : n - k] for k in range(1, long_order + 1)]
+        design = np.column_stack(lag_cols)
+        coef, *_ = np.linalg.lstsq(design, z[long_order:], rcond=None)
+        ehats[long_order] = np.zeros(n)
+        ehats[long_order][long_order:] = z[long_order:] - design @ coef
+    ehat = ehats[long_order]
     start = max(p, long_order + q)
     cols = [z[start - k : n - k] for k in range(1, p + 1)]
     cols += [ehat[start - k : n - k] for k in range(1, q + 1)]
@@ -174,6 +182,7 @@ def fit_arma(series, max_ar: int = 3, max_ma: int = 3) -> ArmaFit:
     mu = float(np.mean(y))
     z = y - mu
     lead_tol = 3.0 / math.sqrt(n)
+    ehats: dict = {}  # the Hannan-Rissanen long autoregressions, shared by the MA candidates
     best: Optional[tuple] = None  # (aic, order, ar, ma, sigma2, residuals) of the winner
     for p in range(max_ar + 1):
         for q in range(max_ma + 1):
@@ -185,7 +194,7 @@ def fit_arma(series, max_ar: int = 3, max_ma: int = 3) -> ArmaFit:
                 else:
                     x = least_squares(
                         lambda v: _css_residuals(z, v[:p], v[p:]),
-                        _hannan_rissanen_start(z, p, q),
+                        _hannan_rissanen_start(z, p, q, ehats),
                         method="lm",
                         max_nfev=300,
                     ).x
@@ -273,18 +282,45 @@ def forecast_metrics(predictions, truths) -> tuple[float, float]:
     return float(np.mean(np.abs(err))), float(msfe)
 
 
-def _standardized(y: np.ndarray, e: int, what: str):
-    """``(c, mu, sd)`` for data ``y * 2**e``: one new buffer c holding the columns
-    standardized, and their means and sds (``np.std``'s own arithmetic) in the
-    data's units.  An sd of at most 1e-12 |mean|, or 0, raises ``InvalidData``
-    naming ``what``: a constant column's round-off stays below 1e-15 |mean|."""
-    mu = y.mean(axis=0)
-    c = y - mu
-    sd = np.sqrt(np.sum(c * c, axis=0) / len(c))
-    if np.any(sd <= 1e-12 * np.abs(mu)):  # holds at sd = 0 whatever the mean
+def _add_rows(sums, lag_sums: list, d: np.ndarray, lo: int, hi: int, e: int, shift) -> None:
+    """Add rows lo..hi-1 of ``x = d * 2**-e - shift`` to ``sums``, those of x_t and x_t**2,
+    and to ``lag_sums``, those of x_t x_{t-k}' for k = 0, 1, ...; it may be empty."""
+    back = max(len(lag_sums) - 1, 0)  # x_t pairs with x_{t-k} from t = k on
+    for i in range(lo, hi, 64):  # in blocks of 64 rows
+        j, start = min(i + 64, hi), max(i - back, 0)
+        x = np.ldexp(d[start:j], -e) - shift
+        sums[0] += x[i - start :].sum(axis=0)
+        sums[1] += (x[i - start :] * x[i - start :]).sum(axis=0)
+        for k, lag_sum in enumerate(lag_sums):
+            if max(i, k) < j:
+                lag_sum += x[max(i, k) - start :].T @ x[max(i, k) - start - k : j - start - k]
+
+
+def _window_moments(sums, lag_sums, d, n: int, e: int, shift, what: str):
+    """``(mu, sd, lags)`` of rows 0..n-1 of d from the sums of x (see :func:`_add_rows`): means
+    and sds in units of ``2**e`` and, if ``lag_sums`` is not empty, the standardized Omega(0..M),
+    each from the centred co-moment ``S_k - a_k mu' - mu b_k' + (n - k) mu mu'`` in O(p^2)
+    (Chan, Golub & LeVeque 1983), else None.  An sd of at most 1e-12 |mean|, or 0, raises
+    ``InvalidData`` naming ``what``."""
+    mu = sums[0] / n
+    sd = np.sqrt(np.maximum(sums[1] - sums[0] * mu, 0.0) / n)
+    if np.any(sd <= 1e-12 * np.abs(shift + mu)):  # holds at sd = 0 whatever the mean
         raise InvalidData(f"{what} is constant; cannot standardize")
-    c /= sd
-    return c, np.ldexp(mu, e), np.ldexp(sd, e)
+    if not lag_sums:
+        return shift + mu, sd, None
+    m = min(len(lag_sums), n) - 1
+    ends = np.ldexp(d[np.r_[:m, n - m : n]], -e) - shift  # x's first and last m rows
+    lags = []
+    for k in range(m + 1):  # in place: a window holds no p-by-p temporary
+        a_k = sums[0] - ends[:k].sum(axis=0) - (n - k) * mu  # sums x_t - mu over t = k..n-1
+        b_k = sums[0] - ends[2 * m - k :].sum(axis=0)  # and x_t over t = 0..n-1-k
+        lag = lag_sums[k] - np.column_stack([a_k, mu]) @ np.vstack([mu, b_k])
+        lag /= sd[:, None]
+        lag /= sd * (n - k)
+        lags.append(lag)
+    lags[0] += lags[0].T
+    lags[0] *= 0.5
+    return shift + mu, sd, lags
 
 
 def pipeline_forecast(
@@ -320,13 +356,12 @@ def _factor_forecast(
 ) -> np.ndarray:
     """The forecast of a standardized panel: estimate with r fixed at ``r_hat``,
     project, and fit and forecast each factor."""
-    a_hat = estimate(panel, replace(cfg, r_fixed=r_hat)).A_hat
-    factors = panel.data @ a_hat
+    fit = estimate(panel, replace(cfg, r_fixed=r_hat))
     ahead = np.empty(r_hat)
     for j in range(r_hat):
-        fit = fit_arma(factors[:, j], max_ar=max_ar, max_ma=max_ma)
-        ahead[j] = forecast_arma(fit, factors[:, j], h)
-    return a_hat @ ahead
+        arma = fit_arma(fit.factors[:, j], max_ar=max_ar, max_ma=max_ma)
+        ahead[j] = forecast_arma(arma, fit.factors[:, j], h)
+    return fit.A_hat @ ahead
 
 
 @dataclass(frozen=True)
@@ -409,35 +444,50 @@ def expanding_window_eval(
         raise InvalidConfig(f"n1 must be >= {_MIN_SERIES} so factor models can be fit")
     if n1 + h > panel.n:
         raise InvalidConfig(f"need n1 + h <= n, got n1={n1}, h={h}, n={panel.n}")
-    n, p = panel.n, panel.p
-    y, e = _scaled(panel.data)  # every mean and sd is taken on data * 2**-e
-    y_eval = panel.data
-    if standardize == "global":
-        y = y_eval = _standardized(y, e, "a panel column")[0]
-        e = 0
+    n, p, d = panel.n, panel.p, panel.data
+    e = int(np.frexp(max(d.max(), -d.min()))[1])  # every moment is taken on d * 2**-e
     methods = tuple(methods)  # read twice below, so a generator is taken once
     labels = _method_labels(methods) + [ZERO_BASELINE]
     origins = tuple(range(n1, n - h + 1))
-    n_windows = len(origins)
-    preds = {lab: np.full((n_windows, p), np.nan) for lab in labels}
+    preds = {lab: np.full((len(origins), p), np.nan) for lab in labels}
     fails = {lab: 0 for lab in labels}
+    # sums over the origins of x = d * 2**-e less the first window's mean, against
+    # cancellation (Welford 1962): of x_t and x_t**2 and, from the first window with
+    # T >= p on, of x_t x_{t-k}' for the lags 0..M the methods read; a wider
+    # window's fits take no p-by-p product
+    shift = sum(np.ldexp(d[i : min(i + 64, n1)], -e).sum(axis=0) for i in range(0, n1, 64)) / n1
+    lag_count = max((cfg.m for cfg in methods if cfg.method != "cov"), default=0) + 1
+    units = (0.0, np.ldexp(1.0, -e))  # the data's, or the whole panel's standardized ones
+    if standardize == "global":
+        sums = np.zeros((2, p))
+        _add_rows(sums, [], d, 0, n, e, shift)
+        units = _window_moments(sums, [], d, n, e, shift, "a panel column")[:2]
+    sums, lag_sums, done = np.zeros((2, p)), [], 0
     for w, origin in enumerate(origins):
-        strain, mu_t, sd_t = _standardized(y[:origin], e, "a training column")
-        preds[ZERO_BASELINE][w] = mu_t
-        # its sds are 1 by construction, so its column means settle pipeline_forecast's
-        # check; a window that fails them fails in every method
-        if np.max(np.abs(strain.mean(axis=0))) > _MEAN_TOL:
+        if origin >= p and not lag_sums:
+            sums[:], lag_sums, done = 0.0, [np.zeros((p, p)) for _ in range(lag_count)], 0
+        _add_rows(sums, lag_sums, d, done, origin, e, shift)
+        done = origin
+        mu, sd, lags = _window_moments(sums, lag_sums, d, origin, e, shift, "a training column")
+        preds[ZERO_BASELINE][w] = mu
+        # the fits form (y - mu) / sd from y, so its columns keep eps |mu| / sd of round-off;
+        # in global mode, as on a panel standardized first, only the part past its mean
+        if np.any(np.finfo(float).eps * np.abs(mu - units[0]) > _MEAN_TOL * sd):
             for lab in labels[:-1]:
                 fails[lab] += 1
             continue
-        train_panel = _built_panel(strain, demeaned=False)
+        train_panel = _Window(d[:origin], e, mu, sd, lags)
         for cfg, lab in zip(methods, labels):
             try:
                 raw = _factor_forecast(train_panel, cfg, r_hat, h, max_ar, max_ma)
-                preds[lab][w] = mu_t + sd_t * raw
+                preds[lab][w] = mu + sd * raw
             except TsfactorError:
                 fails[lab] += 1
-    truth = np.stack([y_eval[origin + h - 1] for origin in origins])
+        del train_panel, lags  # free its lag products before the next window's
+    truth = d[n1 + h - 1 :]  # row origin + h - 1 of each window
+    if standardize == "global":
+        truth = (np.ldexp(truth, -e) - units[0]) / units[1]
+    preds = {lab: (pred - units[0]) / units[1] for lab, pred in preds.items()}
     results = []
     for lab in labels:
         good = ~np.isnan(preds[lab]).any(axis=1)

@@ -24,14 +24,13 @@ from .errors import DegenerateSpectrum, InvalidConfig
 from .factor import (
     EstimatorConfig,
     _Q_CAP,
-    _gram_cross,
     _half_weighted,
     _lag_fit,
     _rank_q_weight,
     estimate,
     select_r,
 )
-from .tsstats import TimePanel, _in_units, _lag0_eigen, sample_autocov
+from .tsstats import TimePanel, _in_units, _lag0_eigen, _row_products, sample_autocov
 
 __all__ = ["BicTrace", "select_q"]
 
@@ -98,7 +97,7 @@ def _scan(rows: TimePanel, p: int, e: int, cfg: EstimatorConfig) -> BicTrace:
     over lags 1..``cfg.m`` of a demeaned panel ``rows`` scaled by ``2**-e``.
     ``p`` counts the series, which ``rows`` holds in row-space coordinates
     when p > n; spectra and residual means go back to the data's units."""
-    y, n, m = rows.data, rows.n, cfg.m
+    n, m = rows.n, cfg.m
     covs = sample_autocov(rows, m)
     q0 = min(_Q_CAP, p - 1, n - m) if cfg.q0 is None else cfg.q0  # n - m: every q is solvable
     if q0 > min(p, n) - 1:
@@ -111,11 +110,11 @@ def _scan(rows: TimePanel, p: int, e: int, cfg: EstimatorConfig) -> BicTrace:
     # ||y[k:]||^2.  Each candidate's objects are leading blocks of these,
     # because the covariance eigenvectors are nested.
     halves = [_half_weighted(lag, w0) for lag in covs.lags]
-    regs = [_gram_cross(y[: n - k] @ w0.Q, y[k:]) for k in lags]
+    ds = [_row_products(rows, 0, n - k, w0.Q) for k in lags]
     grams = np.stack([b.T @ b for b in halves])
-    designs = np.stack([dd for dd, _ in regs])
-    xs = np.stack([c @ b for (_, c), b in zip(regs, halves)])
-    head_sqs = np.array([np.vdot(y[k:], y[k:]) for k in lags])  # no (n-k)-row temporary
+    designs = np.stack([d.T @ d for d in ds])
+    xs = np.stack([_row_products(rows, k, n, left=d) @ b for k, d, b in zip(lags, ds, halves)])
+    head_sqs = np.array([_row_products(rows, k, n) for k in lags])  # no (n-k)-row temporary
 
     def rank(q: int):
         """The ratio-rule rank at q and the ascending eigenpairs of each

@@ -172,17 +172,61 @@ def demean(panel: TimePanel) -> TimePanel:
     return panel._memo["demeaned"]
 
 
-def _built_panel(
-    data: np.ndarray, names: tuple[str, ...] | None = None, demeaned: bool = True
-) -> TimePanel:
-    """A read-only panel of data the package built itself, checked finite but not
-    copied, nor, when centered, held to a flagged panel's zero-mean check, which
-    the mean's round-off can fail far from 0."""
+def _built_panel(data: np.ndarray, names: tuple[str, ...] | None = None) -> TimePanel:
+    """A read-only demeaned panel of data the package centered itself, checked finite
+    but not copied, nor held to a flagged panel's zero-mean check, which the mean's
+    round-off can fail far from 0."""
     data = _as_float_matrix(data, "panel data")
     data.setflags(write=False)
     panel = object.__new__(TimePanel)
-    vars(panel).update(data=data, names=names, demeaned=demeaned, _memo={})
+    vars(panel).update(data=data, names=names, demeaned=True, _memo={})
     return panel
+
+
+class _Window(TimePanel):
+    """The demeaned window ``c = (y * 2**-e - mu) / sd`` of a panel's leading rows y, held as
+    the view y, uncopied, and mu and sd, given in units of ``2**e``.  ``lags``, its standardized
+    lag products, or None, go to its memo, and it is then its own normalized rows, at exponent
+    0.  Its products go through :func:`_row_products`, which forms them from y; ``data`` forms
+    c in one new buffer, once, for any other reader."""
+
+    def __init__(self, y: np.ndarray, e: int, mu: np.ndarray, sd: np.ndarray, lags):
+        mu, sd = np.ldexp(mu, e), np.ldexp(sd, e)  # y is a view of checked, read-only data
+        vars(self).update(rows=y, mu=mu, sd=sd, names=None, demeaned=True, _memo={})
+        for arr in (mu, sd, *(lags or ())):
+            arr.setflags(write=False)
+        if lags is not None:
+            covs = LagCovSet(lag0=lags[0], lags=tuple(lags[1:]), n=y.shape[0])
+            self._memo.update(exponent=np.int64(0), lagcovs={covs.m: covs})
+
+    @property
+    def data(self) -> np.ndarray:
+        if "data" not in self._memo:
+            c = self.rows / self.sd
+            c -= self.mu / self.sd
+            c.setflags(write=False)
+            self._memo["data"] = c
+        return self._memo["data"]
+
+    n = property(lambda self: self.rows.shape[0])
+    p = property(lambda self: self.rows.shape[1])
+
+
+def _row_products(panel: TimePanel, lo: int, hi: int, right=None, left=None):
+    """``c @ right``, ``left' c`` or else ``||c||^2`` for the rows ``c = y[lo:hi]`` of a
+    demeaned panel y.  A window, whose y stands for ``(v - mu) / sd`` on its view v of the
+    panel's rows, forms ``v @ (right / sd) - (mu / sd) @ right``, ``(left' v - left' 1 mu') / sd``
+    and ``n p`` less the squares of its rows outside lo..hi, as its sds make ``||y||^2 = n p``."""
+    if not isinstance(panel, _Window):
+        y = panel.data[lo:hi]
+        return y @ right if right is not None else left.T @ y if left is not None else np.vdot(y, y)
+    v, mu, sd = panel.rows[lo:hi], panel.mu, panel.sd
+    if right is not None:
+        return v @ (right / sd[:, None]) - (mu / sd) @ right
+    if left is not None:
+        return (left.T @ v - np.outer(left.sum(axis=0), mu)) / sd
+    head, tail = (rows / sd - mu / sd for rows in (panel.rows[:lo], panel.rows[hi:]))
+    return panel.n * panel.p - np.vdot(head, head) - np.vdot(tail, tail)
 
 
 def _mean_product(a: np.ndarray, b: np.ndarray, count: int, what: str, e: int = 0) -> np.ndarray:
@@ -221,11 +265,11 @@ def sample_autocov(panel: TimePanel, m: int) -> LagCovSet:
     n = panel.n
     if m >= n:
         raise InvalidLag(f"lag count {m} must be smaller than the sample size {n}")
-    y, e = panel.data, panel._memo.get("exponent", 0)  # a normalized panel's 2**-e
     sets = panel._memo.setdefault("lagcovs", {})  # m -> its LagCovSet, checked once
     if m not in sets:
         products = [sets[max(sets)].lag0, *sets[max(sets)].lags] if sets else []
         for k in range(len(products), m + 1):
+            y, e = panel.data, panel._memo.get("exponent", 0)  # a normalized panel's 2**-e
             lag = _mean_product(y[k:], y[: n - k], n - k, f"lag-{k} autocovariance", e)
             lag = 0.5 * (lag + lag.T) if k == 0 else lag
             lag.setflags(write=False)
@@ -253,8 +297,9 @@ def _flips(vectors: np.ndarray) -> np.ndarray:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip eigenvector signs so the largest-magnitude entry is >= 0."""
+    signs = np.where(_flips(vectors), -1.0, 1.0)
     out = vectors.copy()
-    out[:, _flips(vectors)] *= -1.0
+    out *= signs
     return out
 
 
@@ -271,13 +316,15 @@ def sym_eigen(mat: np.ndarray, d: int) -> EigenPairs:
         raise InvalidData(f"matrix must be square, got shape {mat.shape}")
     if not 1 <= d <= p:
         raise InvalidData(f"d must be in [1, {p}], got {d}")
-    scale = max(1.0, float(np.abs(mat).max()))
-    if np.abs(mat - mat.T).max() > 1e-10 * scale:
+    sym = np.subtract(mat, mat.T)  # the one p-by-p temporary besides eigh's output
+    if np.abs(sym, out=sym).max() > 1e-10 * max(1.0, float(mat.max()), -float(mat.min())):
         raise PreconditionViolated("matrix is not symmetric within tolerance")
-    sym = 0.5 * (mat + mat.T)
-    vals, vecs = np.linalg.eigh(sym)
+    np.add(mat, mat.T, out=sym)
+    vals, vecs = np.linalg.eigh(np.multiply(sym, 0.5, out=sym))
+    del sym
     order = np.argsort(vals)[::-1][:d]
-    return EigenPairs(values=vals[order], vectors=_fix_signs(vecs[:, order]))
+    vecs = vecs[:, order]  # frees eigh's own before the signed copy
+    return EigenPairs(values=vals[order], vectors=_fix_signs(vecs))
 
 
 def subspace_distance(k1: np.ndarray, k2: np.ndarray) -> float:

@@ -1,5 +1,7 @@
 """Tests for ARMA fitting, recursive prediction, and expanding-window evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,21 @@ def test_default_grid_orders_are_unchanged():
         (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (1, 2), (0, 2), (1, 2),
         (3, 0), (0, 0), (1, 0), (0, 3), (0, 1), (1, 1), (0, 2), (1, 1),
     ]
+
+
+def test_the_long_autoregression_is_solved_once_per_series(monkeypatch):
+    # every MA candidate of the default grid starts from the same long order,
+    # round(10 log10 n) = 25 at n = 300, so its residuals are fitted once
+    solve, widths = np.linalg.lstsq, []
+
+    def counted(a, b, **kwargs):
+        widths.append(a.shape[1])
+        return solve(a, b, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    fit_arma(ar1_series(np.random.default_rng(4), 300, phi=0.5))
+    assert widths.count(25) == 1
+    assert len(widths) == 3 + 1 + 12  # the pure AR fits, the long AR, each MA candidate's
 
 
 def test_an_invertible_ma2_is_fitted_on_its_own_polynomial():
@@ -385,14 +402,14 @@ def test_each_window_is_checked_standardized_once(monkeypatch):
     y = np.outer(x, rng.uniform(-1, 1, size=6)) + rng.standard_normal((140, 6))
     methods = tuple(EstimatorConfig(method=m) for m in ("cov", "auto", "wauto"))
     rep = expanding_window_eval(TimePanel(y), methods, r_hat=1, h=1, n1=130)
-    # the loop checks each window once, from its column means, and hands that
+    # the loop checks each window once, from its means and sds, and hands that
     # one panel to the forecast kernel in every method
     assert [panel.n for panel in seen] == [o for o in rep.origins for _ in methods]
     assert len({id(panel) for panel in seen}) == len(rep.origins)
     assert [res.n_failed for res in rep.results] == [0] * 4
     # a window whose means fail counts as failed in every method, unforecast
     seen.clear()
-    y[:, 2] += 1e11  # centering leaves round-off above the 1e-6 mean threshold
+    y[:, 2] += 1e11  # centering leaves eps |mean| / sd above the 1e-6 mean threshold
     rep = expanding_window_eval(TimePanel(y), methods, r_hat=1, h=1, n1=130)
     assert [res.n_failed for res in rep.results] == [len(rep.origins)] * 3 + [0]
     assert seen == []
@@ -526,10 +543,28 @@ def reference_report(y, methods, r_hat, h, n1, standardize, max_ar, max_ma):
     return out
 
 
+def assert_matches_reference(rep, want, tol, scale=1.0, metrics_rtol=1e-12):
+    """The report agrees with ``reference_report``: labels and failed counts
+    exactly, predictions within ``tol`` times each column's ``scale``, and MAFE
+    and MSFE within ``metrics_rtol``."""
+    assert [res.label for res in rep.results] == list(want)
+    for res in rep.results:
+        pred, mafe, msfe, n_failed = want[res.label]
+        assert res.n_failed == n_failed
+        np.testing.assert_allclose(res.predictions / scale, pred / scale, rtol=0.0, atol=tol)
+        np.testing.assert_allclose([res.mafe, res.msfe], [mafe, msfe], rtol=metrics_rtol)
+
+
 @pytest.mark.parametrize("standardize", ["train", "global"])
 @pytest.mark.parametrize("max_ma", [0, 1], ids=["ar-grid", "ma-grid"])
 @pytest.mark.parametrize("h, r_hat", [(1, 1), (2, 2)])
 def test_windows_match_the_public_route_bit_for_bit(standardize, max_ma, h, r_hat):
+    # The name dates from when each window was standardized in a copy, as the
+    # public route's is.  The windows are now updated from running sums, so they
+    # agree to round-off: within 1e-10 on the AR grid.  An MA order is refined by
+    # Levenberg-Marquardt, which stops at its 1e-8 tolerance and so turns that
+    # round-off into forecast moves of up to about 1e-8 column sds (4.9e-9 at
+    # h = 2 here); the MA grid is held to 1e-7 sds, not to 1e-10
     rng = np.random.default_rng(57)
     x = np.column_stack([ar1_series(rng, 110, phi=0.85), ar1_series(rng, 110, phi=-0.4)])
     y = x @ rng.uniform(-1, 1, (2, 7)) + rng.standard_normal((110, 7)) + 5.0
@@ -540,11 +575,98 @@ def test_windows_match_the_public_route_bit_for_bit(standardize, max_ma, h, r_ha
         standardize=standardize, max_ar=2, max_ma=max_ma,
     )
     want = reference_report(y, methods, r_hat, h, 100, standardize, 2, max_ma)
-    assert [res.label for res in rep.results] == list(want)
-    for res in rep.results:
-        pred, mafe, msfe, n_failed = want[res.label]
-        assert np.array_equal(res.predictions, pred, equal_nan=True)
-        assert (res.mafe, res.msfe, res.n_failed) == (mafe, msfe, n_failed)
+    if max_ma == 0:
+        assert_matches_reference(rep, want, 1e-10)
+    else:
+        scale = y.std(axis=0) if standardize == "train" else 1.0
+        assert_matches_reference(rep, want, 1e-7, scale, metrics_rtol=1e-7)
+
+
+@pytest.mark.parametrize("standardize", ["train", "global"])
+@pytest.mark.parametrize("h, r_hat", [(1, 1), (2, 2)])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("q", [3, "auto"])
+@pytest.mark.parametrize("n, p", [(90, 8), (60, 70), (70, 66)], ids=["p<T", "p>T", "p=T"])
+def test_updated_windows_agree_with_the_public_route(standardize, h, r_hat, m, q, n, p):
+    # each window's moments come from running sums and its rows from a view of
+    # the panel; the public route standardizes every window in a new buffer.  At
+    # p = T the windows start wider than long, so the lag sums start mid-run
+    rng = np.random.default_rng(61)
+    x = np.column_stack([ar1_series(rng, n, phi=0.8), ar1_series(rng, n, phi=-0.3)])
+    y = x @ rng.uniform(-1, 1, (2, p)) + rng.standard_normal((n, p)) + 3.0
+    y[:, 1] *= 25.0
+    methods = tuple(EstimatorConfig(method=k, m=m, q=q) for k in ("cov", "auto", "wauto"))
+    args = (r_hat, h, n - 6, standardize, 1, 0)
+    rep = expanding_window_eval(TimePanel(y), methods, *args)
+    assert_matches_reference(rep, reference_report(y, methods, *args), 1e-10)
+
+
+def warm_peak(panel, methods, n1, mode):
+    """The tracemalloc peak of a warm ``expanding_window_eval`` run, and its report."""
+    def run():
+        return expanding_window_eval(panel, methods, r_hat=1, h=1, n1=n1, standardize=mode,
+                                     max_ar=1, max_ma=0)
+
+    run()  # the warm-up
+    tracemalloc.start()
+    try:
+        report = run()
+        return tracemalloc.get_traced_memory()[1], report
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_warm_window_copies_no_t_by_p_panel():
+    # the windows read the panel through views and their moments come from
+    # running sums, so the peak holds no T-by-p buffer: the running sum, the
+    # window's lag product, its eigenvectors and eigh's temporaries are p-by-p.
+    # cov alone: at p / T = 0.155, auto's and wauto's lag-1 sums and products
+    # and auto's aggregate lift the peak to 1.7 T-by-p, all of it p-by-p
+    rng = np.random.default_rng(5)
+    n, p, windows = 777, 119, 10
+    y = np.outer(ar1_series(rng, n, phi=0.9), rng.uniform(-1, 1, p)) + rng.standard_normal((n, p))
+    for mode in ("train", "global"):
+        peak, report = warm_peak(TimePanel(y), (EstimatorConfig(method="cov"),), n - windows, mode)
+        assert [res.n_failed for res in report.results] == [0, 0]
+        assert peak < np.dtype(float).itemsize * (n - windows) * p, mode
+
+
+def test_a_window_wider_than_long_forms_no_p_by_p_product():
+    # while T < p the sums hold only the columns' sums and sums of squares, and
+    # each window's fits read its T-by-p rows: its standardized copy, their
+    # scaled copy and the row space's QR and WY temporaries, about 5 T-by-p;
+    # one p-by-p lag sum alone would be 11 T-by-p here
+    rng = np.random.default_rng(8)
+    n, p, windows = 60, 600, 5
+    y = np.outer(ar1_series(rng, n, phi=0.9), rng.uniform(-1, 1, p)) + rng.standard_normal((n, p))
+    methods = tuple(EstimatorConfig(method=k) for k in ("cov", "auto", "wauto"))
+    for mode in ("train", "global"):
+        peak, report = warm_peak(TimePanel(y), methods, n - windows, mode)
+        assert [res.n_failed for res in report.results] == [0, 0, 0, 0]
+        assert peak < 6 * np.dtype(float).itemsize * (n - windows) * p, mode
+
+
+def test_global_mode_forecasts_a_column_far_from_zero():
+    # global mode's units are the whole panel's standardized ones, so, as when the
+    # panel was standardized first, a window's centring round-off is counted only
+    # past the panel's mean: a column at 1e11 is forecast in every window there,
+    # while train mode fails those windows (test_each_window_is_checked_standardized_once)
+    y = forecast_scale_panel()
+    far = y.copy()
+    far[:, 2] += 1e11
+    cfgs = (EstimatorConfig(method="cov"), EstimatorConfig(method="auto"))
+    rep = expanding_window_eval(TimePanel(far), cfgs, r_hat=1, h=1, n1=110, standardize="global",
+                                max_ar=1, max_ma=0)
+    assert [res.n_failed for res in rep.results] == [0, 0, 0]
+    base = expanding_window_eval(TimePanel(y), cfgs, r_hat=1, h=1, n1=110, standardize="global",
+                                 max_ar=1, max_ma=0)
+    for got, want in zip(rep.results, base.results):  # the offset's round-off, 1e11 eps = 2e-5
+        np.testing.assert_allclose(got.predictions, want.predictions, rtol=0.0, atol=1e-4)
+    # the whole panel is standardized before any window
+    y[:, 2] = 5.0
+    with pytest.raises(InvalidData, match="a panel column is constant"):
+        expanding_window_eval(TimePanel(y), cfgs, r_hat=1, h=1, n1=110, standardize="global",
+                              max_ar=1, max_ma=0)
 
 
 def forecast_scale_panel():

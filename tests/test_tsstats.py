@@ -11,7 +11,9 @@ from tsfactor.tsstats import (
     EigenPairs,
     LagCovSet,
     TimePanel,
+    _Window,
     _fix_signs,
+    _row_products,
     demean,
     sample_autocov,
     subspace_distance,
@@ -348,3 +350,25 @@ def test_fix_signs_matches_the_column_loop_bit_for_bit():
         assert np.array_equal(np.signbit(got), np.signbit(want))
     assert _fix_signs(vectors)[2, 1] == 9.0 and _fix_signs(vectors)[2, 2] == 9.0
     assert _fix_signs(np.zeros((3, 0))).shape == (3, 0)
+
+
+def test_a_forecast_window_reads_as_its_standardized_rows():
+    # a window holds a view of the panel's rows with their means and sds in
+    # units of 2**e; _row_products, .data and a lag sample_autocov has not kept
+    # all read (y - mu) / sd, never the raw rows
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal((40, 5)) * 3.0 + 7.0
+    mu, sd = y.mean(axis=0), y.std(axis=0)
+    c = (y - mu) / sd
+    window = _Window(y, 3, mu / 8.0, sd / 8.0, None)
+    assert (window.n, window.p, window.demeaned) == (40, 5, True)
+    b, left = rng.standard_normal((5, 2)), rng.standard_normal((30, 2))
+    for lo, hi in [(0, 40), (2, 40), (3, 33)]:
+        np.testing.assert_allclose(_row_products(window, lo, hi, b), c[lo:hi] @ b, atol=1e-13)
+        np.testing.assert_allclose(
+            _row_products(window, lo, lo + 30, left=left), left.T @ c[lo : lo + 30], atol=1e-13
+        )
+        assert _row_products(window, lo, hi) == pytest.approx(np.vdot(c[lo:hi], c[lo:hi]), rel=1e-13)
+    np.testing.assert_allclose(window.data, c, atol=1e-14)
+    assert window.data is window.data  # formed once
+    np.testing.assert_allclose(sample_autocov(window, 1).lags[0], c[1:].T @ c[:-1] / 39, atol=1e-14)
